@@ -19,6 +19,7 @@ from .classify import (
 )
 from .core import (
     Chirotope,
+    InvalidChirotope,
     OrientedMatroid,
     ValidationReport,
     chirotope_from_cocircuits,

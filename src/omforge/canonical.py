@@ -14,8 +14,9 @@ per-position signs up to the documented two-fold ambiguity resolved by
 exploring both solutions; every later position's sign is forced by its
 first decided basis.
 
-Above the exact-search budget a documented invariant hash is returned
-instead, prefixed 'hash:' to flag that it is not canonical.
+Above the exact-search budget (EXACT_LIMIT elements by default) a
+documented invariant hash is returned instead, prefixed 'hash:' to flag
+that it is not canonical.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ import itertools
 import math
 from functools import lru_cache
 
-from .core import Chirotope, OrientedMatroid
+from .core import Chirotope, OrientedMatroid, signed_mask
 from .signs import MINUS, PLUS
+
+EXACT_LIMIT = 9  # largest n keyed exactly by default
 
 
 @lru_cache(maxsize=None)
@@ -39,16 +42,6 @@ def _tables(n: int, r: int):
         blocks.append(tuple(subs))
     offsets = [math.comb(k, r) for k in range(n + 1)]
     return tuple(blocks), tuple(offsets)
-
-
-def _parity(seq) -> int:
-    sign = 1
-    for i in range(len(seq)):
-        si = seq[i]
-        for j in range(i + 1, len(seq)):
-            if si > seq[j]:
-                sign = -sign
-    return sign
 
 
 def _element_invariants(om: OrientedMatroid) -> list:
@@ -71,7 +64,7 @@ def _element_invariants(om: OrientedMatroid) -> list:
     ]
 
 
-def canonical_key(chi: Chirotope, exact_limit: int = 9, invariants=None) -> str:
+def canonical_key(chi: Chirotope, exact_limit: int = EXACT_LIMIT, invariants=None) -> str:
     """Canonical chirotope string (lex-subset order) of the orbit.
 
     Minimization runs over relabelings that sort the per-element
@@ -89,21 +82,14 @@ def canonical_key(chi: Chirotope, exact_limit: int = 9, invariants=None) -> str:
         invariants = _element_invariants(cocircuits_from_chirotope(chi))
     inv = invariants
     required = sorted(inv)
-    values = [0] * (1 << n)
-    for b in itertools.combinations(range(n), r):
-        m = 0
-        for e in b:
-            m |= 1 << e
-        values[m] = chi.basis_sign(b)
+    values = chi.signs
     blocks, offsets = _tables(n, r)
     total = math.comb(n, r)
     best = [2] * total  # 0 '+', 1 '-', 2 undecided sentinel
 
     def chi_at(seq) -> int:
-        m = 0
-        for e in seq:
-            m |= 1 << e
-        return values[m] * _parity(seq)
+        m, parity = signed_mask(seq)
+        return values[m] * parity
 
     def compare_block(off, entries):
         """Compare against best, committing improvements; True if pruned."""
@@ -135,16 +121,16 @@ def canonical_key(chi: Chirotope, exact_limit: int = 9, invariants=None) -> str:
 
             def sub_at(idx):
                 while len(subinfo) <= idx:
-                    sub = block[len(subinfo)]
+                    # signed_mask inlined: the hot loop of the search
                     pmask = 0
                     signed = g
-                    seq = []
-                    for p in sub:
+                    for p in block[len(subinfo)]:
                         e = perm[p]
+                        if (pmask >> e).bit_count() & 1:
+                            signed = -signed
                         pmask |= 1 << e
                         signed *= rho[p]
-                        seq.append(e)
-                    subinfo.append((pmask, signed * _parity(seq)))
+                    subinfo.append((pmask, signed))
                 return subinfo[idx]
 
         for src in range(n):
@@ -177,7 +163,7 @@ def canonical_key(chi: Chirotope, exact_limit: int = 9, invariants=None) -> str:
                 for idx in range(len(block)):
                     pmask, signed = sub_at(idx)
                     v = values[pmask | bit] * signed
-                    if bin(pmask >> shift).count("1") & 1:
+                    if (pmask >> shift).bit_count() & 1:
                         v = -v
                     if idx == 0:
                         rk = v
@@ -269,7 +255,7 @@ def _invariant_hash(chi: Chirotope) -> str:
     return f"hash:{digest}"
 
 
-def canonical_form(om: OrientedMatroid, exact_limit: int = 9) -> str:
+def canonical_form(om: OrientedMatroid, exact_limit: int = EXACT_LIMIT) -> str:
     """Canonical key of a uniform oriented matroid (dedup key for flip
     searches: equal iff same relabeling/reorientation class)."""
     cache = getattr(om, "_canonical_key", None)

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .canonical import canonical_form
+from .canonical import EXACT_LIMIT, canonical_form
 from .core import OrientedMatroid
 from .extensions import (
     ExtensionError,
@@ -33,7 +33,7 @@ from .programs import (
     has_euclidean_program,
     is_euclidean,
 )
-from .signs import PLUS
+from .signs import PLUS, mask_of
 
 
 @dataclass(frozen=True)
@@ -252,6 +252,45 @@ class MutationGraph:
         }
 
 
+def _require_exact_keys(om: OrientedMatroid) -> None:
+    if om.n > EXACT_LIMIT:
+        raise ValueError(
+            f"flip-graph search needs exact canonical keys, computed only up "
+            f"to n = {EXACT_LIMIT} (exact-key limit); the seed has n = {om.n}"
+        )
+
+
+def _labelled(chi) -> int:
+    """A uniform chirotope's labelled sign sequence as one int: bit m is
+    set iff the basis with bitmask m is negative."""
+    return sum(1 << m for m, s in enumerate(chi.signs) if s < 0)
+
+
+def _start_search(seed: OrientedMatroid) -> tuple[str, dict]:
+    """The seed's canonical key, and the search's memo from labelled
+    chirotopes (`_labelled`) to canonical keys, holding the seed."""
+    if seed.chirotope is None:
+        raise ValueError("flip-graph search requires a seed with a chirotope")
+    key = canonical_form(seed)
+    return key, {_labelled(seed.chirotope): key}
+
+
+def _keyed_neighbours(om: OrientedMatroid, keys: dict):
+    """(canonical key, child) for every mutation flip of om, in mutation
+    order.  A child whose labelled chirotope is already in `keys` is
+    neither flipped nor keyed again; it comes back as None."""
+    base = _labelled(om.chirotope)
+    for cert in mutations(om):
+        labelled = base ^ (1 << mask_of(cert.basis))
+        key = keys.get(labelled)
+        if key is not None:
+            yield key, None
+            continue
+        child = flip(om, cert)
+        key = keys[labelled] = canonical_form(child)
+        yield key, child
+
+
 def mutation_graph_bfs(
     seed: OrientedMatroid,
     max_nodes: int = 1000,
@@ -261,11 +300,13 @@ def mutation_graph_bfs(
     """Flip BFS with canonical-form dedup, deterministic order.
 
     node_hook(node) runs once per accepted node; budget exhaustion is
-    reported, and a partial graph is returned.
+    reported, and a partial graph is returned.  Seeds with more than
+    EXACT_LIMIT elements are rejected: their keys would not be exact.
     """
     if not seed.is_uniform():
         raise ValueError("mutation graph BFS requires a uniform seed")
-    seed_key = canonical_form(seed)
+    _require_exact_keys(seed)
+    seed_key, keys = _start_search(seed)
     nodes: dict[str, MutationGraphNode] = {}
     root = MutationGraphNode(seed_key, seed, 0)
     nodes[seed_key] = root
@@ -277,15 +318,15 @@ def mutation_graph_bfs(
         node = queue.popleft()
         if max_depth is not None and node.depth >= max_depth:
             continue
-        for cert in mutations(node.om):
-            neighbor = flip(node.om, cert)
-            key = canonical_form(neighbor)
+        for key, neighbor in _keyed_neighbours(node.om, keys):
             node.neighbors.append(key)
             if key in nodes:
                 continue
             if len(nodes) >= max_nodes:
                 exhausted = True
                 continue
+            # a key met before is in nodes unless the budget ran out, so
+            # a new node always comes with a freshly flipped neighbor
             new = MutationGraphNode(key, neighbor, node.depth + 1)
             nodes[key] = new
             if node_hook is not None:
@@ -299,16 +340,16 @@ def flip_distance_to_euclidean(
 ) -> Optional[int]:
     """BFS distance to the nearest class whose programs are all
     Euclidean; None if not found within the radius."""
+    _require_exact_keys(om)
     if all_programs_euclidean(om):
         return 0
-    seen = {canonical_form(om)}
+    seed_key, keys = _start_search(om)
+    seen = {seed_key}
     frontier = [om]
     for depth in range(1, radius + 1):
         nxt = []
         for current in frontier:
-            for cert in mutations(current):
-                neighbor = flip(current, cert)
-                key = canonical_form(neighbor)
+            for key, neighbor in _keyed_neighbours(current, keys):
                 if key in seen:
                     continue
                 seen.add(key)

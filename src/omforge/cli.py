@@ -3,22 +3,20 @@
 JSON goes to stdout (or --out); human-readable notes go to stderr.
 Exit codes: 0 ok, 1 parse/IO error, 2 undetermined or budget exhausted,
 3 validation failure.  The RNG seed is recorded in every output for
-replay; OM_FORGE_THREADS is honored as a parallelism cap (this
-implementation runs single-threaded, which always satisfies the cap).
+replay.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
 
 from . import acceptance as accept
 from .classify import classify, mutation_graph_bfs, summary_table
-from .core import validate_chirotope, validate_cocircuit_axioms
+from .core import InvalidChirotope, validate_chirotope, validate_cocircuit_axioms
 from .extensions import (
     LexExtensionSpec,
     lex_extend,
@@ -49,7 +47,6 @@ class RunConfig:
     out: Optional[str]
     max_nodes: int
     max_candidates: int
-    threads: int
     verbose: bool
 
 
@@ -161,7 +158,6 @@ def run(argv=None) -> int:
         out=args.out,
         max_nodes=args.max_nodes,
         max_candidates=args.max_candidates,
-        threads=max(1, int(os.environ.get("OM_FORGE_THREADS", "1") or 1)),
         verbose=args.verbose,
     )
     try:
@@ -169,6 +165,9 @@ def run(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except InvalidChirotope as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

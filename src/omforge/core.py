@@ -79,18 +79,21 @@ def matrix_rank(rows: Sequence[Sequence]) -> int:
     return rank
 
 
-def _perm_parity(seq: Sequence[int]) -> int:
-    """+1/-1 parity of the permutation sorting seq; 0 on repeats."""
-    s = list(seq)
-    sign = PLUS
-    for i in range(len(s)):
-        for j in range(i + 1, len(s)):
-            if s[i] == s[j]:
-                return 0
-            if s[i] > s[j]:
-                s[i], s[j] = s[j], s[i]
-                sign = -sign
-    return sign
+def signed_mask(seq: Sequence[int]) -> tuple[int, int]:
+    """Bitmask of seq and the sign of the permutation sorting it.
+
+    The sign is the parity of the inversions, counted as the earlier
+    elements above each element (a popcount); it is 0 on a repeat.
+    """
+    mask = 0
+    inversions = 0
+    for e in seq:
+        bit = 1 << e
+        if mask & bit:
+            return mask, 0
+        inversions += (mask >> e).bit_count()
+        mask |= bit
+    return mask, MINUS if inversions & 1 else PLUS
 
 
 # ---------------------------------------------------------------------------
@@ -119,19 +122,48 @@ class ValidationReport:
 # chirotope
 # ---------------------------------------------------------------------------
 
-class Chirotope:
-    """Alternating sign map on ordered r-tuples, stored on sorted r-subsets."""
+MAX_ELEMENTS = 20  # a chirotope's sign list has 2**n entries
 
-    __slots__ = ("rank", "n", "_signs")
+
+class InvalidChirotope(ValueError):
+    """A chirotope failed the Grassmann-Pluecker check; carries the violations."""
+
+    def __init__(self, violations, what: str = "invalid chirotope"):
+        self.violations = tuple(violations)
+        super().__init__(f"{what}: {self.violations[:3]}")
+
+
+class Chirotope:
+    """Alternating sign map on ordered r-tuples.
+
+    `signs` is one flat list indexed by basis bitmask: signs[mask] is the
+    sign on the sorted r-subset with that mask, and every other entry is
+    0.  The sign on an ordered tuple is the sorted subset's sign times the
+    parity of the sorting permutation (`signed_mask`).
+    """
+
+    __slots__ = ("rank", "n", "signs")
 
     def __init__(self, rank: int, n: int, signs: dict):
+        """signs maps r-subsets (tuples) to signs; missing subsets get 0."""
         if rank < 1 or n < rank:
             raise ValueError("need 1 <= rank <= n")
+        if n > MAX_ELEMENTS:
+            raise ValueError(f"chirotopes are stored densely, for n <= {MAX_ELEMENTS}")
         self.rank = rank
         self.n = n
-        self._signs = dict(signs)
-        for b in itertools.combinations(range(n), rank):
-            self._signs.setdefault(b, 0)
+        self.signs = [0] * (1 << n)
+        for b, s in signs.items():
+            m = mask_of(b)
+            if m.bit_count() != rank or m >> n:
+                raise ValueError(f"{b} is not a {rank}-subset of 0..{n - 1}")
+            self.signs[m] = s
+
+    @classmethod
+    def _dense(cls, rank: int, n: int, signs: list) -> "Chirotope":
+        out = cls.__new__(cls)
+        out.rank, out.n, out.signs = rank, n, signs
+        return out
 
     @classmethod
     def from_points(cls, points: Sequence[Sequence]) -> "Chirotope":
@@ -151,72 +183,76 @@ class Chirotope:
 
     @classmethod
     def from_string(cls, rank: int, n: int, s: str) -> "Chirotope":
-        bases = list(itertools.combinations(range(n), rank))
-        if len(s) != len(bases):
-            raise ValueError(f"expected {len(bases)} sign characters, got {len(s)}")
+        if rank < 1 or n < rank:
+            raise ValueError("need 1 <= rank <= n")
+        if len(s) != _ncr(n, rank):
+            raise ValueError(f"expected {_ncr(n, rank)} sign characters, got {len(s)}")
         from .signs import char_sign
 
+        bases = itertools.combinations(range(n), rank)
         return cls(rank, n, {b: char_sign(c) for b, c in zip(bases, s)})
+
+    def basis_masks(self) -> list[int]:
+        """Bitmasks of the r-subsets in lexicographic order."""
+        return [mask_of(b) for b in itertools.combinations(range(self.n), self.rank)]
 
     def chi(self, *elements: int) -> int:
         """Sign on an ordered tuple (alternating; 0 on repeats)."""
         if len(elements) != self.rank:
             raise ValueError("tuple length must equal rank")
-        parity = _perm_parity(elements)
-        if parity == 0:
-            return 0
-        return parity * self._signs[tuple(sorted(elements))]
+        mask, parity = signed_mask(elements)
+        return parity * self.signs[mask]
 
     def basis_sign(self, basis: Iterable[int]) -> int:
-        return self._signs[tuple(sorted(basis))]
+        return self.signs[mask_of(basis)]
 
     def to_string(self) -> str:
         from .signs import sign_char
 
-        return "".join(
-            sign_char(self._signs[b])
-            for b in itertools.combinations(range(self.n), self.rank)
-        )
+        signs = self.signs
+        return "".join(sign_char(signs[m]) for m in self.basis_masks())
 
     def is_uniform(self) -> bool:
-        return all(s != 0 for s in self._signs.values())
+        return sum(1 for s in self.signs if s) == _ncr(self.n, self.rank)
 
     def is_zero(self) -> bool:
-        return all(s == 0 for s in self._signs.values())
+        return not any(self.signs)
 
     def reorient(self, elements: Iterable[int]) -> "Chirotope":
-        a = set(elements)
-        signs = {
-            b: (s if len(a.intersection(b)) % 2 == 0 else -s)
-            for b, s in self._signs.items()
-        }
-        return Chirotope(self.rank, self.n, signs)
+        a = mask_of(elements)
+        return Chirotope._dense(self.rank, self.n, [
+            -s if (m & a).bit_count() & 1 else s
+            for m, s in enumerate(self.signs)
+        ])
 
     def with_basis_flipped(self, basis: Iterable[int]) -> "Chirotope":
-        b = tuple(sorted(basis))
-        signs = dict(self._signs)
-        signs[b] = -signs[b]
-        return Chirotope(self.rank, self.n, signs)
+        signs = list(self.signs)
+        m = mask_of(basis)
+        signs[m] = -signs[m]
+        return Chirotope._dense(self.rank, self.n, signs)
 
     def negate(self) -> "Chirotope":
-        return Chirotope(self.rank, self.n, {b: -s for b, s in self._signs.items()})
+        return Chirotope._dense(self.rank, self.n, [-s for s in self.signs])
 
     def dual(self) -> "Chirotope":
         """Dual map on (n-r)-subsets: chi*(E\\B) = sign(sorting (B, E\\B)) * chi(B)."""
-        full = range(self.n)
-        signs = {}
-        for b, s in self._signs.items():
-            comp = tuple(e for e in full if e not in b)
-            signs[comp] = _perm_parity(b + comp) * s
-        return Chirotope(self.n - self.rank, self.n, signs)
+        if self.rank == self.n:
+            raise ValueError("the dual of a rank-n chirotope has rank 0")
+        full = (1 << self.n) - 1
+        signs = [0] * (1 << self.n)
+        for m in self.basis_masks():
+            comp = full & ~m
+            _, parity = signed_mask(list(bits(m)) + list(bits(comp)))
+            signs[comp] = parity * self.signs[m]
+        return Chirotope._dense(self.n - self.rank, self.n, signs)
 
     def relabel(self, perm: Sequence[int]) -> "Chirotope":
         """Relabel so old element e becomes perm[e]."""
-        signs = {}
-        for b, s in self._signs.items():
-            img = tuple(perm[e] for e in b)
-            signs[tuple(sorted(img))] = _perm_parity(img) * s
-        return Chirotope(self.rank, self.n, signs)
+        signs = [0] * (1 << self.n)
+        for m in self.basis_masks():
+            img, parity = signed_mask([perm[e] for e in bits(m)])
+            signs[img] = parity * self.signs[m]
+        return Chirotope._dense(self.rank, self.n, signs)
 
     def validate(self) -> ValidationReport:
         return validate_chirotope(self)
@@ -226,11 +262,11 @@ class Chirotope:
             isinstance(other, Chirotope)
             and self.rank == other.rank
             and self.n == other.n
-            and self._signs == other._signs
+            and self.signs == other.signs
         )
 
     def __hash__(self) -> int:
-        return hash((self.rank, self.n, tuple(sorted(self._signs.items()))))
+        return hash((self.rank, self.n, tuple(self.signs)))
 
     def __repr__(self) -> str:
         return f"Chirotope(rank={self.rank}, n={self.n}, {self.to_string()!r})"
@@ -240,34 +276,63 @@ def chirotope_from_points(points: Sequence[Sequence]) -> Chirotope:
     return Chirotope.from_points(points)
 
 
-def validate_chirotope(chi: Chirotope) -> ValidationReport:
-    """Exhaustive three-term Grassmann-Pluecker sign check.
+def _gp3_holds(signs: list, x: int, a: int, b: int, c: int, d: int) -> bool:
+    """One three-term Grassmann-Pluecker sign relation.
 
-    For every (r-2)-subset x and 4-subset {a,b,c,d} of the rest, the
-    terms t1 = chi(abx)chi(cdx), t2 = chi(acx)chi(bdx), t3 = chi(adx)chi(bcx)
-    must allow t1 - t2 + t3 = 0 over signs: {t1, -t2, t3} is all zero or
-    contains both a plus and a minus.
+    x is the mask of an (r-2)-subset and a < b < c < d are single-bit
+    masks outside it.  With t1 = chi(abx)chi(cdx), t2 = chi(acx)chi(bdx),
+    t3 = chi(adx)chi(bcx), the relation t1 - t2 + t3 = 0 must hold over
+    signs: {t1, -t2, t3} is all zero or contains both a plus and a minus.
+    Each term meets a, b, c and d once each, so the sorting signs of the
+    ordered tuples give all three terms one common factor, which the
+    relation ignores; the sorted-subset signs suffice.
     """
-    violations = []
+    t1 = signs[x | a | b] * signs[x | c | d]
+    t2 = -signs[x | a | c] * signs[x | b | d]
+    t3 = signs[x | a | d] * signs[x | b | c]
+    return (t1 > 0 or t2 > 0 or t3 > 0) == (t1 < 0 or t2 < 0 or t3 < 0)
+
+
+def _gp3_violation(x: int, four) -> tuple:
+    return ("grassmann-pluecker-3", (tuple(bits(x)), tuple(four)))
+
+
+def validate_chirotope(chi: Chirotope) -> ValidationReport:
+    """Exhaustive three-term Grassmann-Pluecker sign check: every
+    (r-2)-subset x and 4-subset {a,b,c,d} of the rest (`_gp3_holds`)."""
     if chi.is_zero():
-        violations.append(("identically-zero", ()))
-        return ValidationReport(False, tuple(violations))
+        return ValidationReport(False, (("identically-zero", ()),))
     r, n = chi.rank, chi.n
+    signs = chi.signs
+    violations = []
     if r >= 2 and n - (r - 2) >= 4:
-        elems = range(n)
-        for x in itertools.combinations(elems, r - 2):
-            xs = set(x)
-            rest = [e for e in elems if e not in xs]
-            for a, b, c, d in itertools.combinations(rest, 4):
-                t1 = chi.chi(a, b, *x) * chi.chi(c, d, *x)
-                t2 = chi.chi(a, c, *x) * chi.chi(b, d, *x)
-                t3 = chi.chi(a, d, *x) * chi.chi(b, c, *x)
-                terms = (t1, -t2, t3)
-                has_plus = any(t > 0 for t in terms)
-                has_minus = any(t < 0 for t in terms)
-                if has_plus != has_minus:
-                    violations.append(("grassmann-pluecker-3", (x, (a, b, c, d))))
+        for x in itertools.combinations(range(n), r - 2):
+            xm = mask_of(x)
+            rest = [e for e in range(n) if not xm >> e & 1]
+            for four in itertools.combinations(rest, 4):
+                a, b, c, d = (1 << e for e in four)
+                if not _gp3_holds(signs, xm, a, b, c, d):
+                    violations.append(_gp3_violation(xm, four))
     return ValidationReport(not violations, tuple(violations))
+
+
+def flip_violations(chi: Chirotope, basis_mask: int) -> tuple:
+    """Three-term Grassmann-Pluecker violations among the relations that
+    contain the basis: C(r,2) * C(n-r,2) of them.  A chirotope that
+    differs from a valid one only on this basis is valid iff none fail.
+    """
+    signs = chi.signs
+    inside = list(bits(basis_mask))
+    outside = [e for e in range(chi.n) if not basis_mask >> e & 1]
+    violations = []
+    for p, q in itertools.combinations(inside, 2):
+        x = basis_mask & ~(1 << p) & ~(1 << q)
+        for s, t in itertools.combinations(outside, 2):
+            four = sorted((p, q, s, t))
+            a, b, c, d = (1 << e for e in four)
+            if not _gp3_holds(signs, x, a, b, c, d):
+                violations.append(_gp3_violation(x, four))
+    return tuple(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +378,9 @@ class OrientedMatroid:
         self._graph_cache: dict[int, tuple] = {}
         self._tope_cache = None
         self._mutation_cache = None
+        # True when the cocircuits were derived from `chirotope` and it
+        # passed the Grassmann-Pluecker check; flips may then go local
+        self._from_valid_chirotope = False
 
     # -- derived structure ----------------------------------------------
 
@@ -419,7 +487,7 @@ class OrientedMatroid:
     def reorient(self, elements: Iterable[int]) -> "OrientedMatroid":
         mask = mask_of(elements)
         chi = self.chirotope.reorient(bits(mask)) if self.chirotope else None
-        return OrientedMatroid(
+        out = OrientedMatroid(
             self.n,
             self.rank,
             (x.reorient(mask) for x in self.cocircuits),
@@ -427,6 +495,8 @@ class OrientedMatroid:
             labels=self.labels,
             chirotope=chi,
         )
+        out._from_valid_chirotope = self._from_valid_chirotope
+        return out
 
     def dual(self) -> "OrientedMatroid":
         if self.chirotope is not None:
@@ -650,7 +720,7 @@ def cocircuits_from_chirotope(chi: Chirotope, provenance: str = "from-chirotope"
     spanning (r-1)-subset A (sorted), zero on the closure of A."""
     report = validate_chirotope(chi)
     if not report.ok:
-        raise ValueError(f"invalid chirotope: {report.violations[:3]}")
+        raise InvalidChirotope(report.violations)
     r, n = chi.rank, chi.n
     by_zero: dict[int, SignVector] = {}
     for a in itertools.combinations(range(n), r - 1):
@@ -667,9 +737,9 @@ def cocircuits_from_chirotope(chi: Chirotope, provenance: str = "from-chirotope"
     for vec in by_zero.values():
         cocircuits.add(vec)
         cocircuits.add(-vec)
-    return OrientedMatroid(
-        n, r, cocircuits, provenance=provenance, chirotope=chi
-    )
+    om = OrientedMatroid(n, r, cocircuits, provenance=provenance, chirotope=chi)
+    om._from_valid_chirotope = True
+    return om
 
 
 def cocircuits_from_points(points: Sequence[Sequence]) -> set[SignVector]:
@@ -709,29 +779,29 @@ def chirotope_from_cocircuits(om: OrientedMatroid) -> Chirotope:
     if not om.is_uniform():
         raise ValueError("chirotope recovery requires a uniform oriented matroid")
     r, n = om.rank, om.n
-    signs: dict[tuple, int] = {}
-    first = tuple(range(r))
+    signs = [0] * (1 << n)
+    first = (1 << r) - 1
     signs[first] = PLUS
     frontier = [first]
     while frontier:
         basis = frontier.pop()
         chi_b = signs[basis]
-        for b in basis:
-            rest = tuple(e for e in basis if e != b)
-            coc = om.cocircuit_with_zero(mask_of(rest))
+        for b in bits(basis):
+            rest = basis & ~(1 << b)
+            coc = om.cocircuit_with_zero(rest)
             if coc is None:
                 raise ValueError("missing hyperplane cocircuit in uniform om")
-            chi_b_at = _perm_parity((b,) + rest) * chi_b
+            chi_b_at = signed_mask([b, *bits(rest)])[1] * chi_b
             for e in range(n):
-                if e in basis or coc[e] == 0:
+                if basis >> e & 1 or coc[e] == 0:
                     continue
-                new_basis = tuple(sorted(rest + (e,)))
-                if new_basis in signs:
+                new_basis = rest | (1 << e)
+                if signs[new_basis]:
                     continue
                 chi_e_at = coc[e] * coc[b] * chi_b_at
-                signs[new_basis] = _perm_parity((e,) + rest) * chi_e_at
+                signs[new_basis] = signed_mask([e, *bits(rest)])[1] * chi_e_at
                 frontier.append(new_basis)
-    return Chirotope(r, n, signs)
+    return Chirotope._dense(r, n, signs)
 
 
 def validate_cocircuit_axioms(

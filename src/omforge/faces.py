@@ -13,7 +13,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import OrientedMatroid, cocircuits_from_chirotope
+from .core import (
+    InvalidChirotope,
+    OrientedMatroid,
+    cocircuits_from_chirotope,
+    flip_violations,
+)
 from .signs import SignVector, mask_of
 
 
@@ -193,10 +198,16 @@ def min_adjacent_mutations(om: OrientedMatroid) -> int:
 
 
 def flip(om: OrientedMatroid, cert: MutationCertificate) -> OrientedMatroid:
-    """Negate the chirotope on the mutation basis and rebuild.
+    """Negate the chirotope on the mutation basis.
 
-    Uniform-with-chirotope only; the result is validated, and staleness
-    of the certificate is rejected up front.
+    Uniform-with-chirotope only; staleness of the certificate is rejected
+    up front.  When om's cocircuits were derived from its validated
+    chirotope (`cocircuits_from_chirotope`, `reorient` or an earlier
+    flip), only the Grassmann-Pluecker relations containing the basis are
+    re-checked, and only the r cocircuit pairs on the basis's
+    (r-1)-subsets change, each in one coordinate.  Any other om gets the
+    full rebuild, `cocircuits_from_chirotope`, which is also the oracle
+    the incremental route is tested against.
     """
     if om.chirotope is None or not om.is_uniform():
         raise ValueError("flip requires a uniform oriented matroid with chirotope")
@@ -204,10 +215,25 @@ def flip(om: OrientedMatroid, cert: MutationCertificate) -> OrientedMatroid:
     if fresh is None or any(x not in om.cocircuits for x in cert.cocircuit_vectors()):
         raise ValueError("stale certificate: not a mutation of this oriented matroid")
     chi = om.chirotope.with_basis_flipped(cert.basis)
-    try:
-        return cocircuits_from_chirotope(chi, provenance="derived")
-    except ValueError as exc:
-        raise ValueError(f"flip produced an invalid chirotope: {exc}") from None
+    what = "flip produced an invalid chirotope"
+    if not om._from_valid_chirotope:
+        try:
+            return cocircuits_from_chirotope(chi, provenance="derived")
+        except InvalidChirotope as exc:
+            raise InvalidChirotope(exc.violations, what) from None
+    bmask = mask_of(cert.basis)
+    violations = flip_violations(chi, bmask)
+    if violations:
+        raise InvalidChirotope(violations, what)
+    cocircuits = set(om.cocircuits)
+    for e in cert.basis:
+        x = om.cocircuit_with_zero(bmask & ~(1 << e))
+        y = x.reorient(1 << e)
+        cocircuits -= {x, -x}
+        cocircuits |= {y, -y}
+    out = OrientedMatroid(om.n, om.rank, cocircuits, provenance="derived", chirotope=chi)
+    out._from_valid_chirotope = True
+    return out
 
 
 def flip_basis(om: OrientedMatroid, basis: Iterable[int]) -> OrientedMatroid:

@@ -17,9 +17,17 @@ from .signs import SignVector
 
 
 def read_chi(path) -> Chirotope:
-    lines = Path(path).read_text().split()
-    r, n = int(lines[0]), int(lines[1])
-    return Chirotope.from_string(r, n, lines[2])
+    tokens = Path(path).read_text().split()
+    if len(tokens) != 3:
+        raise ValueError(
+            f"{path}: expected a header 'r n' and one sign string, "
+            f"found {len(tokens)} tokens"
+        )
+    try:
+        r, n = int(tokens[0]), int(tokens[1])
+    except ValueError:
+        raise ValueError(f"{path}: header must be two integers 'r n'") from None
+    return Chirotope.from_string(r, n, tokens[2])
 
 
 def write_chi(path, chi: Chirotope) -> None:

@@ -1,6 +1,10 @@
+import importlib
 import random
+from collections import deque
 
-from omforge.canonical import canonical_key
+import pytest
+
+from omforge.canonical import canonical_form, canonical_key
 from omforge.classify import (
     classify,
     flip_distance_to_euclidean,
@@ -9,9 +13,10 @@ from omforge.classify import (
     mutation_graph_bfs,
     summary_table,
 )
-from omforge.core import Chirotope, om_from_points
+from omforge.core import Chirotope, cocircuits_from_chirotope, om_from_points
 from omforge.corpus import cyclic_om, random_points, w3
 from omforge.extensions import lex_extend
+from omforge.faces import mutations
 from omforge.programs import Program, is_euclidean
 
 
@@ -129,3 +134,50 @@ def test_summary_table():
     assert rows["realizable"]["min_L"] >= 2
     assert rows["euclidean-rank-4"]["min_L"] >= 3
     assert rows["euclidean-rank-3"]["min_L"] == 3
+
+
+def reference_bfs(seed):
+    """The flip BFS with every flip a full rebuild and every child keyed."""
+    seed_key = canonical_form(seed)
+    nodes = {seed_key: (seed, 0, [])}
+    queue = deque([seed_key])
+    while queue:
+        om, depth, neighbors = nodes[queue.popleft()]
+        for cert in mutations(om):
+            child = cocircuits_from_chirotope(om.chirotope.with_basis_flipped(cert.basis))
+            key = canonical_form(child)
+            neighbors.append(key)
+            if key not in nodes:
+                nodes[key] = (child, depth + 1, [])
+                queue.append(key)
+    return {key: (depth, neighbors) for key, (_, depth, neighbors) in nodes.items()}
+
+
+def test_rank3_n8_closure_matches_full_rebuild():
+    # a relabelled, reoriented member of the cyclic class; 135 uniform
+    # rank-3 classes on 8 elements (Finschi & Fukuda 2002)
+    rng = random.Random(71)
+    perm = list(range(8))
+    rng.shuffle(perm)
+    chi = cyclic_om(3, 8).chirotope.relabel(perm).reorient([1, 4, 6])
+    seed = cocircuits_from_chirotope(chi)
+    graph = mutation_graph_bfs(seed)
+    assert not graph.exhausted_budget
+    assert len(graph.nodes) == 135
+    mine = {key: (node.depth, node.neighbors) for key, node in graph.nodes.items()}
+    assert list(mine.items()) == list(reference_bfs(seed).items())
+
+
+def test_flip_searches_reject_inexact_keys(monkeypatch):
+    # the package's `classify` attribute is the function, not the module
+    classify_module = importlib.import_module("omforge.classify")
+
+    def no_flip(*args):
+        raise AssertionError("flipped before rejecting the seed")
+
+    monkeypatch.setattr(classify_module, "flip", no_flip)
+    seed = cyclic_om(3, 10)
+    with pytest.raises(ValueError, match="exact-key limit"):
+        mutation_graph_bfs(seed)
+    with pytest.raises(ValueError, match="exact-key limit"):
+        flip_distance_to_euclidean(seed)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from omforge.cli import EXIT_INVALID, EXIT_OK, EXIT_UNDETERMINED, run
+from omforge.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_UNDETERMINED, run
 from omforge.corpus import cyclic_om, cyclic_points, w3
 from omforge.fileio import write_chi, write_pts
 
@@ -135,3 +135,43 @@ def test_acceptance_cmd_direct_sum(capsys):
     assert payload["ok"] is True
     # one pass/fail line per criterion on stderr
     assert "[PASS] 10 direct-sum-counting" in run_json.err
+
+
+# rank 3 on 5 elements: cyclic(3,5) with the non-mutation basis {0,1,3} negated
+INVALID_R3N5 = "+-++++++++"
+
+
+@pytest.mark.parametrize("cmd", ["validate", "cocircuits", "mutations", "classify"])
+def test_invalid_chirotope_exits_3(tmp_path, capsys, cmd):
+    bad = tmp_path / "bad.chi"
+    bad.write_text(f"3 5\n{INVALID_R3N5}\n")
+    assert run([cmd, str(bad)]) == EXIT_INVALID
+    if cmd != "validate":
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid chirotope")
+
+
+def test_header_only_chi_is_an_error(tmp_path, capsys):
+    path = tmp_path / "short.chi"
+    path.write_text("4 8\n")
+    assert run(["cocircuits", str(path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_mutation_graph_above_exact_key_limit(tmp_path, capsys):
+    seed = tmp_path / "c310.chi"
+    write_chi(seed, cyclic_om(3, 10).chirotope)
+    assert run(["mutation-graph", str(seed)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "exact-key limit" in lines[0]
+
+
+def test_threads_variable_is_ignored(w3_chi, capsys, monkeypatch):
+    monkeypatch.setenv("OM_FORGE_THREADS", "abc")
+    code, payload = run_json(capsys, ["cocircuits", w3_chi])
+    assert code == EXIT_OK
+    assert len(payload["cocircuits"]) == 6

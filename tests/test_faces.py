@@ -2,9 +2,19 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from omforge.core import om_from_points, validate_chirotope
-from omforge.corpus import cyclic_om, random_points, w3
+from omforge.classify import mutation_graph_bfs
+from omforge.core import (
+    InvalidChirotope,
+    OrientedMatroid,
+    cocircuits_from_chirotope,
+    flip_violations,
+    om_from_points,
+    validate_chirotope,
+)
+from omforge.corpus import cyclic_om, non_euclidean_848, random_points, w3
 from omforge.faces import (
     adjacent_cocircuits,
     adjacent_mutation_count,
@@ -17,7 +27,7 @@ from omforge.faces import (
     mutations,
     topes,
 )
-from omforge.signs import SignVector
+from omforge.signs import SignVector, mask_of
 
 sv = SignVector.from_string
 
@@ -194,3 +204,76 @@ def test_cyclic_c48_shannon_tight():
     om = cyclic_om(4, 8)
     assert all(adjacent_mutation_count(om, e) >= 4 for e in range(8))
     assert min_adjacent_mutations(om) == 4
+
+
+# -- incremental flip vs the full rebuild ----------------------------------------
+
+def full_rebuild(om, cert):
+    return cocircuits_from_chirotope(om.chirotope.with_basis_flipped(cert.basis))
+
+
+def assert_flips_match_full_rebuild(om):
+    assert om._from_valid_chirotope  # so flip takes the incremental route
+    for cert in mutations(om):
+        fast, full = flip(om, cert), full_rebuild(om, cert)
+        assert fast.chirotope == full.chirotope
+        assert fast.cocircuits == full.cocircuits
+
+
+def test_local_check_equals_full_check_after_one_sign_change():
+    # from a valid parent, the relations through the changed basis decide
+    # validity; most single-basis changes here are not mutations
+    rng = random.Random(15)
+    for om in (cyclic_om(3, 8), cyclic_om(4, 8), om_from_points(random_points(rng, 4, 7))):
+        for b in itertools.combinations(range(om.n), om.rank):
+            chi = om.chirotope.with_basis_flipped(b)
+            local = flip_violations(chi, mask_of(b))
+            full = validate_chirotope(chi).violations
+            assert set(local) == set(full)
+
+
+@pytest.mark.parametrize(
+    "make_seed",
+    [lambda: cyclic_om(3, 8), lambda: cyclic_om(4, 8), non_euclidean_848],
+    ids=["cyclic38", "cyclic48", "non_euclidean_848"],
+)
+def test_incremental_flip_matches_full_rebuild_on_bfs_classes(make_seed):
+    graph = mutation_graph_bfs(make_seed(), max_nodes=40)
+    assert len(graph.nodes) == 40
+    for node in graph.nodes.values():
+        assert_flips_match_full_rebuild(node.om)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([(3, 5), (3, 7), (4, 6), (4, 8)]))
+def test_incremental_flip_matches_full_rebuild_realizable(seed, shape):
+    r, n = shape
+    om = om_from_points(random_points(random.Random(seed), r, n))
+    assert_flips_match_full_rebuild(om)
+    # a second step starts from an incrementally flipped parent
+    assert_flips_match_full_rebuild(flip(om, mutations(om)[0]))
+
+
+def test_unvalidated_parent_gets_full_check():
+    # parent: the cocircuits of cyclic(4,8), but a chirotope with a
+    # non-mutation basis d negated, so it fails Grassmann-Pluecker only in
+    # relations through d.  d shares one element with the flipped basis b,
+    # so no relation contains both and the local check would pass.
+    om = cyclic_om(4, 8)
+    cert = mutations(om)[0]
+    b = set(cert.basis)
+    d = next(
+        c for c in itertools.combinations(range(8), 4)
+        if len(b & set(c)) <= 1 and mutation_from_basis(om, c) is None
+    )
+    bad = om.chirotope.with_basis_flipped(d)
+    assert not validate_chirotope(bad).ok
+    parent = OrientedMatroid(8, 4, om.cocircuits, chirotope=bad)
+    child = bad.with_basis_flipped(cert.basis)
+    assert flip_violations(child, mask_of(cert.basis)) == ()
+    with pytest.raises(InvalidChirotope) as info:
+        flip(parent, cert)
+    assert info.value.violations
+    # a valid chirotope built the same way is flipped by the full rebuild
+    direct = OrientedMatroid(8, 4, om.cocircuits, chirotope=om.chirotope)
+    assert flip(direct, cert) == flip(om, cert)

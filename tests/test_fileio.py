@@ -69,3 +69,20 @@ def test_unknown_extension(tmp_path):
     path.write_text("nope")
     with pytest.raises(ValueError):
         load_om(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("4 8\n", "found 2 tokens"),  # header only
+        ("+++-\n", "found 1 tokens"),  # no header
+        ("2 4\n++++++\nextra\n", "found 4 tokens"),
+        ("two 4\n++++++\n", "two integers"),
+        ("1 30\n" + "+" * 30 + "\n", "n <= 20"),  # 2**30 dense entries
+    ],
+)
+def test_malformed_chi_rejected(tmp_path, text, message):
+    path = tmp_path / "bad.chi"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_chi(path)
