@@ -71,7 +71,7 @@ from .programs import (
     very_strong_components,
     verify_witness,
 )
-from .signs import MINUS, PLUS, ZERO, SignVector, compose, conformal, separation
+from .signs import MINUS, PLUS, ZERO, SignVector
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

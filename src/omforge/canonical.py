@@ -14,6 +14,17 @@ per-position signs up to the documented two-fold ambiguity resolved by
 exploring both solutions; every later position's sign is forced by its
 first decided basis.
 
+Symmetric classes are cut down in two ways.  The relabelings are those
+that sort the element colouring, refined to a fixed point over the
+mutation bases.  And the search prunes with automorphisms it finds
+(McKay & Piperno, "Practical graph isomorphism, II", 2014): two leaves
+of one negation pass that spell the same string differ by an element
+map that preserves the chirotope up to reorientation.  The search then
+leaves the later leaf's subtree at the level where the two paths part,
+and skips every child in the orbit of a tried sibling under the maps
+found so far that fix the node's prefix.  Equivalent subtrees hold the
+same minimum, so the key is the one the full search would give.
+
 Above the exact-search budget (EXACT_LIMIT elements by default) a
 documented invariant hash is returned instead, prefixed 'hash:' to flag
 that it is not canonical.
@@ -23,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 
 from .core import Chirotope, OrientedMatroid, signed_mask
@@ -44,24 +56,67 @@ def _tables(n: int, r: int):
     return tuple(blocks), tuple(offsets)
 
 
+def _ranks(values: list) -> list:
+    """Each value's index among the sorted distinct values: small ints
+    whose order and equality follow the values, not the labels."""
+    order = {v: i for i, v in enumerate(sorted(set(values)))}
+    return [order[v] for v in values]
+
+
 def _element_invariants(om: OrientedMatroid) -> list:
-    """Per-element profile preserved by relabeling, reorientation and
-    negation: mutation adjacency count plus sorted pair counts."""
+    """Per-element colour preserved by relabeling, reorientation and
+    negation.
+
+    The start colour is the mutation adjacency count plus the sorted
+    counts of mutations through each pair and each triple holding the
+    element.  It is then refined to a fixed point (equitable-partition
+    refinement over the mutation bases): an element's next colour is its
+    colour plus the sorted multiset, over the mutations holding it, of
+    the sorted colours of the mutation's other elements.  Colours are
+    ranks of label-free values, so isomorphic inputs get the same
+    colours on corresponding elements.
+    """
     from .faces import mutations
 
     n = om.n
-    single = [0] * n
-    pair = [[0] * n for _ in range(n)]
-    for cert in mutations(om):
-        for a in cert.basis:
-            single[a] += 1
-            for b in cert.basis:
-                if b != a:
-                    pair[a][b] += 1
-    return [
-        (single[e], tuple(sorted(pair[e][x] for x in range(n) if x != e)))
-        for e in range(n)
-    ]
+    bases = [cert.basis for cert in mutations(om)]
+    holding = [[b for b in bases if e in b] for e in range(n)]
+    pair = Counter(p for b in bases for p in itertools.combinations(b, 2))
+    triple = Counter(t for b in bases for t in itertools.combinations(b, 3))
+
+    def start(e):
+        others = [x for x in range(n) if x != e]
+        return (
+            len(holding[e]),
+            tuple(sorted(pair[tuple(sorted((e, a)))] for a in others)),
+            tuple(
+                sorted(
+                    triple[tuple(sorted((e, a, b)))]
+                    for a, b in itertools.combinations(others, 2)
+                )
+            ),
+        )
+
+    colours = _ranks([start(e) for e in range(n)])
+    while True:
+        refined = _ranks(
+            [
+                (
+                    colours[e],
+                    tuple(
+                        sorted(
+                            tuple(sorted(colours[x] for x in basis if x != e))
+                            for basis in holding[e]
+                        )
+                    ),
+                )
+                for e in range(n)
+            ]
+        )
+        # a step only splits colours, so an equal count is the fixed point
+        if len(set(refined)) == len(set(colours)):
+            return colours
+        colours = refined
 
 
 def canonical_key(chi: Chirotope, exact_limit: int = EXACT_LIMIT, invariants=None) -> str:
@@ -86,6 +141,9 @@ def canonical_key(chi: Chirotope, exact_limit: int = EXACT_LIMIT, invariants=Non
     blocks, offsets = _tables(n, r)
     total = math.comb(n, r)
     best = [2] * total  # 0 '+', 1 '-', 2 undecided sentinel
+    dirty = False  # best changed since the last leaf
+    ref_perm = None  # first leaf of the current pass spelling best
+    gens: list = []  # element maps found: automorphisms up to reorientation
 
     def chi_at(seq) -> int:
         m, parity = signed_mask(seq)
@@ -93,6 +151,7 @@ def canonical_key(chi: Chirotope, exact_limit: int = EXACT_LIMIT, invariants=Non
 
     def compare_block(off, entries):
         """Compare against best, committing improvements; True if pruned."""
+        nonlocal dirty
         committed = False
         for idx, c in enumerate(entries):
             slot = off + idx
@@ -103,15 +162,37 @@ def canonical_key(chi: Chirotope, exact_limit: int = EXACT_LIMIT, invariants=Non
             if c > b:
                 return True
             if c < b:
-                committed = True
+                committed = dirty = True
                 best[slot] = c
                 for t in range(slot + 1, total):
                     best[t] = 2
         return False
 
-    def descend(level, perm, used, rho, g):
+    def leaf(perm) -> int:
+        nonlocal dirty, ref_perm
+        if dirty or ref_perm is None:
+            dirty = False
+            ref_perm = perm[:]
+            return n
+        # same string as the reference leaf: record the map between them
+        # and unwind to the node where their paths part
+        for level, (q, p) in enumerate(zip(ref_perm, perm)):
+            if q != p:
+                break
+        else:
+            return n  # the same relabeling under the other gauge solution
+        sigma = [0] * n
+        for q, p in zip(ref_perm, perm):
+            sigma[q] = p
+        gens.append(sigma)
+        return level
+
+    def descend(level, perm, used, rho, g) -> int:
+        """Search below the prefix perm; returns the level of the node to
+        unwind to after an automorphism is found, or n to carry on."""
+        nonlocal dirty
         if level == n:
-            return
+            return leaf(perm)
         block = blocks[level]
         off = offsets[level]
         need = required[level]
@@ -133,14 +214,24 @@ def canonical_key(chi: Chirotope, exact_limit: int = EXACT_LIMIT, invariants=Non
                     subinfo.append((pmask, signed))
                 return subinfo[idx]
 
+        tried: list = []  # children examined here
+        orbit = None
+        known = 0  # generators seen when orbit was last built
         for src in range(n):
             bit = 1 << src
             if used & bit or inv[src] != need:
                 continue
+            if known < len(gens):
+                known = len(gens)
+                orbit = _orbits(gens, perm, n)
+            if orbit is not None and any(orbit[t] == orbit[src] for t in tried):
+                continue
+            tried.append(src)
+            jump = n
             if level < r - 1:
                 perm.append(src)
                 rho.append(0)  # placeholder; resolved at level r
-                descend(level + 1, perm, used | bit, rho, g)
+                jump = descend(level + 1, perm, used | bit, rho, g)
                 rho.pop()
                 perm.pop()
             elif level == r - 1:
@@ -148,12 +239,12 @@ def canonical_key(chi: Chirotope, exact_limit: int = EXACT_LIMIT, invariants=Non
                 if not compare_block(off, (0,)):
                     perm.append(src)
                     rho.append(0)
-                    descend(level + 1, perm, used | bit, rho, g)
+                    jump = descend(level + 1, perm, used | bit, rho, g)
                     rho.pop()
                     perm.pop()
             elif level == r:
                 perm.append(src)
-                self_block_r(perm, used | bit, rho, g, src)
+                jump = self_block_r(perm, used | bit, rho, g, src)
                 perm.pop()
             else:
                 pruned = False
@@ -179,16 +270,19 @@ def canonical_key(chi: Chirotope, exact_limit: int = EXACT_LIMIT, invariants=Non
                         pruned = True
                         break
                     if c < b:
-                        comm = True
+                        comm = dirty = True
                         best[slot] = c
                         for t in range(slot + 1, total):
                             best[t] = 2
                 if not pruned:
                     perm.append(src)
                     rho.append(rk)
-                    descend(level + 1, perm, used | bit, rho, g)
+                    jump = descend(level + 1, perm, used | bit, rho, g)
                     rho.pop()
                     perm.pop()
+            if jump < level:
+                return jump
+        return n
 
     def self_block_r(perm, used, rho, g, src):
         # Gauge resolution at position r.  With A, B the signed values
@@ -216,15 +310,21 @@ def canonical_key(chi: Chirotope, exact_limit: int = EXACT_LIMIT, invariants=Non
             u[0] = -u[0]
             entries[r - 1] = 1  # block entry i corresponds to j = r-1-i
         if compare_block(offsets[r], entries):
-            return
+            return n
         p_choices = (1, -1) if r % 2 == 0 else (prod,)
         for p_val in p_choices:
             new_rho = [x * p_val for x in u]
             new_rho.append(a_val * p_val)  # rho_{r-1}
             new_rho.append(b_val * p_val)  # rho_r
-            descend(r + 1, perm, used, new_rho, g)
+            jump = descend(r + 1, perm, used, new_rho, g)
+            if jump < n:
+                return jump
+        return n
 
     for g in (PLUS, MINUS):
+        # a leaf tying with one of the other pass differs from it by a
+        # map that negates the chirotope: no symmetry of this pass's tree
+        ref_perm = None
         descend(0, [], 0, [], g)
         if r % 2 == 1:
             break  # odd rank: -chi is the all-element reorientation of chi
@@ -232,6 +332,25 @@ def canonical_key(chi: Chirotope, exact_limit: int = EXACT_LIMIT, invariants=Non
     for b in itertools.combinations(range(n), r):
         out.append("+" if best[_colex_index(b)] == 0 else "-")
     return "".join(out)
+
+
+def _orbits(gens, fixed, n: int) -> list:
+    """Orbit label of each element under the maps in gens that fix every
+    element of `fixed`."""
+    label = list(range(n))
+
+    def find(x):
+        while label[x] != x:
+            x = label[x]
+        return x
+
+    for sigma in gens:
+        if all(sigma[e] == e for e in fixed):
+            for x in range(n):
+                a, b = find(x), find(sigma[x])
+                if a != b:
+                    label[max(a, b)] = min(a, b)
+    return [find(x) for x in range(n)]
 
 
 def _colex_index(b) -> int:
@@ -258,10 +377,7 @@ def _invariant_hash(chi: Chirotope) -> str:
 def canonical_form(om: OrientedMatroid, exact_limit: int = EXACT_LIMIT) -> str:
     """Canonical key of a uniform oriented matroid (dedup key for flip
     searches: equal iff same relabeling/reorientation class)."""
-    cache = getattr(om, "_canonical_key", None)
-    if cache is None:
-        cache = {}
-        om._canonical_key = cache
+    cache = om._canonical_key
     if exact_limit in cache:
         return cache[exact_limit]
     chi = om.chirotope

@@ -378,6 +378,7 @@ class OrientedMatroid:
         self._graph_cache: dict[int, tuple] = {}
         self._tope_cache = None
         self._mutation_cache = None
+        self._canonical_key: dict[int, str] = {}  # exact_limit -> key
         # True when the cocircuits were derived from `chirotope` and it
         # passed the Grassmann-Pluecker check; flips may then go local
         self._from_valid_chirotope = False
@@ -460,27 +461,6 @@ class OrientedMatroid:
                 bin(h).count("1") == r - 1 for h in hyps
             )
         return self._uniform
-
-    def is_connected(self) -> bool:
-        """2-connectivity of the underlying matroid."""
-        if self.n <= 1:
-            return True
-        full = set(range(self.n))
-        r = self.subset_rank(self.full_mask)
-        for k in range(1, self.n // 2 + 1):
-            for s in itertools.combinations(range(self.n), k):
-                rest = full.difference(s)
-                if self.subset_rank(s) + self.subset_rank(rest) <= r:
-                    return False
-        return True
-
-    def is_simple(self) -> bool:
-        if self.loops():
-            return False
-        for e, f in itertools.combinations(range(self.n), 2):
-            if self.subset_rank(((1 << e) | (1 << f))) < 2:
-                return False
-        return True
 
     # -- structural operations -------------------------------------------
 

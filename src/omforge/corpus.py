@@ -55,8 +55,3 @@ def random_points(
             return pts
     raise RuntimeError("no suitable random configuration within retry budget")
 
-
-def random_realizable_om(
-    rng: random.Random, r: int, n: int, span: int = 9, uniform: bool = True
-) -> OrientedMatroid:
-    return om_from_points(random_points(rng, r, n, span=span, uniform=uniform))

@@ -36,8 +36,13 @@ def write_chi(path, chi: Chirotope) -> None:
 
 def read_pts(path) -> list[list[int]]:
     tokens = Path(path).read_text().split()
-    r, n = int(tokens[0]), int(tokens[1])
-    vals = [int(t) for t in tokens[2:]]
+    if len(tokens) < 2:
+        raise ValueError(f"{path}: expected a header 'r n'")
+    try:
+        r, n = int(tokens[0]), int(tokens[1])
+        vals = [int(t) for t in tokens[2:]]
+    except ValueError:
+        raise ValueError(f"{path}: header and coordinates must be integers") from None
     if len(vals) != n * r:
         raise ValueError(f"expected {n * r} coordinates, found {len(vals)}")
     return [vals[i * r : (i + 1) * r] for i in range(n)]
@@ -52,13 +57,32 @@ def write_pts(path, points) -> None:
 
 def read_ccj(path) -> OrientedMatroid:
     data = json.loads(Path(path).read_text())
-    cocircuits = [SignVector.from_string(s) for s in data["cocircuits"]]
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    missing = [k for k in ("n", "rank", "cocircuits") if k not in data]
+    if missing:
+        raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
+    try:
+        n, rank = int(data["n"]), int(data["rank"])
+        cocircuits = [SignVector.from_string(s) for s in data["cocircuits"]]
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{path}: 'n' and 'rank' must be integers and 'cocircuits' "
+            f"a list of sign strings"
+        ) from None
+    labels = data.get("labels")
+    if labels is not None and not (
+        isinstance(labels, list)
+        and len(labels) == n
+        and all(isinstance(x, str) for x in labels)
+    ):
+        raise ValueError(f"{path}: 'labels' must be a list of {n} strings")
     return OrientedMatroid(
-        int(data["n"]),
-        int(data["rank"]),
+        n,
+        rank,
         cocircuits,
         provenance="from-file",
-        labels=data.get("labels"),
+        labels=labels,
     )
 
 

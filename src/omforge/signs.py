@@ -225,14 +225,3 @@ class SignVector:
     def __repr__(self) -> str:
         return f"SignVector({self.to_string()!r})"
 
-
-def compose(x: SignVector, y: SignVector) -> SignVector:
-    return x.compose(y)
-
-
-def separation(x: SignVector, y: SignVector) -> frozenset[int]:
-    return x.separation(y)
-
-
-def conformal(x: SignVector, y: SignVector) -> bool:
-    return x.conformal(y)

@@ -4,7 +4,7 @@ import random
 
 from omforge.canonical import _colex_index, _element_invariants, canonical_form, canonical_key
 from omforge.core import Chirotope, cocircuits_from_chirotope, om_from_points
-from omforge.corpus import cyclic_om, random_points
+from omforge.corpus import cyclic_om, non_euclidean_848, random_points
 
 
 def orbit_copy(chi, rng):
@@ -88,3 +88,153 @@ def test_hash_fallback_above_budget():
     om = cyclic_om(3, 6)
     key = canonical_form(om, exact_limit=5)
     assert key.startswith("hash:")
+
+
+def _colex_string(chi):
+    out = [None] * math.comb(chi.n, chi.rank)
+    for b in itertools.combinations(range(chi.n), chi.rank):
+        out[_colex_index(b)] = "+" if chi.basis_sign(b) > 0 else "-"
+    return "".join(out)
+
+
+def _order_sign(seq):
+    inversions = sum(1 for a, b in itertools.combinations(seq, 2) if a > b)
+    return -1 if inversions % 2 else 1
+
+
+def _unpruned_key(chi):
+    """Minimum colex string over the invariant-sorted relabelings, every
+    reorientation and both global signs, with nothing pruned."""
+    n, r = chi.n, chi.rank
+    inv = _element_invariants(cocircuits_from_chirotope(chi))
+    required = sorted(inv)
+    positions = sorted(itertools.combinations(range(n), r), key=_colex_index)
+    masks = [sum(1 << p for p in P) for P in positions]
+    best = None
+    for target in itertools.permutations(range(n)):
+        if any(inv[target[k]] != required[k] for k in range(n)):
+            continue
+        vals = []
+        for P in positions:
+            seq = [target[p] for p in P]
+            vals.append(chi.basis_sign(sorted(seq)) * _order_sign(seq))
+        for g in (1, -1):
+            for amask in range(1 << n):
+                s = "".join(
+                    "+" if g * v * (-1 if (amask & m).bit_count() & 1 else 1) > 0 else "-"
+                    for v, m in zip(vals, masks)
+                )
+                if best is None or s < best:
+                    best = s
+    return best
+
+
+def test_pruned_search_matches_unpruned_on_symmetric_instances(monkeypatch):
+    from omforge import canonical
+
+    builds = []
+    orbits = canonical._orbits
+    monkeypatch.setattr(
+        canonical, "_orbits", lambda *a: builds.append(1) or orbits(*a)
+    )
+    for r, n in ((3, 6), (4, 6), (2, 5)):
+        chi = cyclic_om(r, n).chirotope
+        builds.clear()
+        mine = _colex_string(Chirotope.from_string(r, n, canonical_key(chi)))
+        assert builds, f"no automorphism pruning on cyclic_om({r},{n})"
+        assert mine == _unpruned_key(chi)
+
+
+def test_symmetric_classes_orbit_keys_and_distinct_keys():
+    from omforge.faces import flip, mutations
+
+    rng = random.Random(63)
+    c48 = cyclic_om(4, 8)
+    neighbours = [flip(c48, cert) for cert in mutations(c48)]
+    classes = {
+        "cyclic_om(4,8)": [c48],
+        "cyclic_om(4,9)": [cyclic_om(4, 9)],
+        "non_euclidean_848": [non_euclidean_848()],
+        # the cyclic symmetry maps the eight flip bases onto each other
+        "cyclic_om(4,8) one-flip": neighbours,
+    }
+    keys = {}
+    for name, members in classes.items():
+        key = canonical_form(members[0])
+        assert not key.startswith("hash:")
+        for om in members:
+            assert canonical_form(om) == key, name
+            for _ in range(2):
+                assert canonical_key(orbit_copy(om.chirotope, rng)) == key, name
+        keys[name] = key
+    assert len(set(keys.values())) == len(keys)
+
+
+def test_element_invariants_follow_labels():
+    from omforge.faces import flip, mutations
+
+    rng = random.Random(64)
+    c48 = cyclic_om(4, 8)
+    m1 = flip(c48, mutations(c48)[0])
+    m2 = flip(m1, mutations(m1)[4])
+    instances = [m1, m2, non_euclidean_848()]
+    instances += [om_from_points(random_points(rng, r, n)) for r, n in ((3, 7), (4, 8))]
+    for om in instances:
+        inv = _element_invariants(om)
+        for _ in range(3):
+            perm = list(range(om.n))
+            rng.shuffle(perm)
+            copy = om.chirotope.relabel(perm).reorient(
+                [e for e in range(om.n) if rng.random() < 0.5]
+            )
+            if rng.random() < 0.5:
+                copy = copy.negate()
+            moved = _element_invariants(cocircuits_from_chirotope(copy))
+            assert [moved[perm[e]] for e in range(om.n)] == inv
+
+
+def test_orbit_copies_share_key_on_every_class_of_small_closures():
+    # every uniform class of rank 3 or 4 on seven elements, ten
+    # relabelled and reoriented copies each
+    from omforge.classify import mutation_graph_bfs
+
+    rng = random.Random(65)
+    for r in (3, 4):
+        graph = mutation_graph_bfs(cyclic_om(r, 7))
+        assert len(graph.nodes) == 11 and not graph.exhausted_budget
+        for key, node in graph.nodes.items():
+            for _ in range(10):
+                assert canonical_key(orbit_copy(node.om.chirotope, rng)) == key
+
+
+def test_recorded_maps_are_automorphisms_up_to_reorientation(monkeypatch):
+    from omforge import canonical
+    from omforge.faces import flip, mutations
+
+    seen = []
+    orbits = canonical._orbits
+    monkeypatch.setattr(
+        canonical, "_orbits", lambda gens, *a: seen.append(gens) or orbits(gens, *a)
+    )
+
+    def preserved(chi, sigma):
+        moved = chi.relabel(sigma)
+        bases = list(itertools.combinations(range(chi.n), chi.rank))
+        return any(
+            all(
+                moved.basis_sign(b) * chi.basis_sign(b)
+                == (-1 if sum(amask >> e & 1 for e in b) % 2 else 1)
+                for b in bases
+            )
+            for amask in range(1 << chi.n)
+        )
+
+    c48 = cyclic_om(4, 8)
+    instances = [cyclic_om(3, 7), c48, flip(c48, mutations(c48)[0]), non_euclidean_848()]
+    for om in instances:
+        seen.clear()
+        canonical_key(om.chirotope)
+        maps = {tuple(sigma) for gens in seen for sigma in gens}
+        assert maps
+        for sigma in maps:
+            assert preserved(om.chirotope, sigma), sigma

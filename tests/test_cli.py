@@ -175,3 +175,22 @@ def test_threads_variable_is_ignored(w3_chi, capsys, monkeypatch):
     code, payload = run_json(capsys, ["cocircuits", w3_chi])
     assert code == EXIT_OK
     assert len(payload["cocircuits"]) == 6
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("empty.pts", ""),
+        ("no_cocircuits.ccj", '{"n": 3, "rank": 2}'),
+        ("top_level_list.ccj", '[1, 2, 3]'),
+        ("int_labels.ccj", '{"n": 2, "rank": 1, "cocircuits": ["+-", "-+"], "labels": 5}'),
+    ],
+)
+def test_malformed_reader_input_is_an_error(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert run(["cocircuits", str(path)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
