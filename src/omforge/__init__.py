@@ -23,7 +23,6 @@ from .core import (
     OrientedMatroid,
     ValidationReport,
     chirotope_from_cocircuits,
-    chirotope_from_points,
     cocircuits_from_chirotope,
     cocircuits_from_points,
     om_from_points,

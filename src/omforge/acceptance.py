@@ -20,10 +20,10 @@ from .core import cocircuits_from_points, om_from_points
 from .corpus import cyclic_om, non_euclidean_848, random_points, w3
 from .extensions import (
     LexExtensionSpec,
+    _mandel_pipeline_results,
     creation_check,
     destruction_check,
     lex_extend,
-    mandel_from_euclidean_mutant,
     swap_isomorphism_check,
 )
 from .faces import (
@@ -373,21 +373,8 @@ def run_eight_point_campaign(ctx: AcceptanceContext) -> None:
         if mutant_cert is None:
             stats["b_failures"].append(node.key)
             return
-        verified = False
-        for f_head in mutant_cert.basis:
-            rest = tuple(e for e in mutant_cert.basis if e != f_head)
-            for g in range(om.n):
-                if g in mutant_cert.basis:
-                    continue
-                result = mandel_from_euclidean_mutant(
-                    om, (f_head,) + rest, g, check_hypotheses=False
-                )
-                if result.ok:
-                    verified = True
-                    break
-            if verified:
-                break
-        if not verified:
+        results = _mandel_pipeline_results(om, mutant_cert.basis)
+        if not any(result.ok for result in results):
             stats["c_failures"].append(node.key)
 
     graph = mutation_graph_bfs(

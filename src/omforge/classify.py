@@ -15,12 +15,7 @@ from typing import Iterable, Optional
 
 from .canonical import EXACT_LIMIT, canonical_form
 from .core import OrientedMatroid
-from .extensions import (
-    ExtensionError,
-    LexExtensionSpec,
-    lex_extend,
-    mandel_from_euclidean_mutant,
-)
+from .extensions import LexExtensionSpec, _mandel_pipeline_results, lex_extend
 from .faces import (
     adjacent_mutation_count,
     flip,
@@ -112,25 +107,15 @@ def mandel_witness_search(
                 continue
             if not all_programs_euclidean(mutant):
                 continue
-            for f in cert.basis:
-                order = (f,) + tuple(e for e in cert.basis if e != f)
-                for g in range(om.n):
-                    if g in cert.basis:
-                        continue
-                    try:
-                        result = mandel_from_euclidean_mutant(
-                            om, order, g, check_hypotheses=False
-                        )
-                    except ExtensionError:
-                        continue
-                    if result.ok:
-                        return MandelWitness(
-                            "flip-pipeline", spec=result.spec,
-                            mutation=order, g=g,
-                        )
-                    spent += 1
-                    if spent >= budget:
-                        return None
+            for result in _mandel_pipeline_results(om, cert.basis):
+                if result.ok:
+                    return MandelWitness(
+                        "flip-pipeline", spec=result.spec,
+                        mutation=result.mutation, g=result.g,
+                    )
+                spent += 1
+                if spent >= budget:
+                    return None
     # brute lexicographic search
     for elems in itertools.permutations(range(om.n), om.rank):
         for pattern in itertools.product((PLUS, -PLUS), repeat=om.rank):

@@ -30,7 +30,7 @@ from .faces import (
     mutations,
     topes,
 )
-from .fileio import load_om, read_chi
+from .fileio import _read_ccj_unchecked, load_om, read_chi
 from .programs import Program, is_euclidean, program_verdicts
 from .signs import SignVector
 
@@ -179,7 +179,8 @@ def _dispatch(args, config: RunConfig) -> int:
         if args.file.endswith(".chi"):
             report = validate_chirotope(read_chi(args.file))
         else:
-            om = load_om(args.file)
+            ccj = args.file.endswith(".ccj")
+            om = _read_ccj_unchecked(args.file) if ccj else load_om(args.file)
             report = validate_cocircuit_axioms(om.cocircuits, n=om.n, rank=om.rank)
         _emit(config, report.to_json())
         return EXIT_OK if report.ok else EXIT_INVALID

@@ -11,6 +11,7 @@ carries the rank oracle computed from hyperplane flats.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -22,61 +23,64 @@ from .signs import MINUS, PLUS, SignVector, bits, mask_of
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
+def _integer_row(row: Sequence) -> list[int]:
+    """The row times the positive LCM of its denominators: the same
+    rank and determinant sign, over the integers.  Int rows pass as is."""
+    if all(type(x) is int for x in row):
+        return list(row)
+    fracs = [Fraction(x) for x in row]
+    scale = math.lcm(*(x.denominator for x in fracs))
+    return [x.numerator * (scale // x.denominator) for x in fracs]
+
+
+def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free row echelon form (Bareiss, 1968) of an exact matrix.
+
+    Returns the echelon rows over the integers (rows scaled by
+    `_integer_row`), the pivot column of each nonzero row, and the
+    parity of the row swaps.  Each step divides exactly by the previous
+    pivot, so the entry at row k, column pivots[k] is the minor on the
+    first k+1 rows and pivot columns of the swapped, scaled matrix; for
+    a square nonsingular matrix the last pivot is that matrix's
+    determinant, so parity times its sign is the input's determinant sign.
+    """
+    m = [_integer_row(row) for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    parity = PLUS
+    prev = 1
+    for col in range(ncols):
+        k = len(pivots)
+        if k == len(m):
+            break
+        piv = next((i for i in range(k, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            parity = -parity
+        top = m[k]
+        p = top[col]
+        for row in m[k + 1:]:
+            a = row[col]
+            for j in range(col, ncols):
+                row[j] = (p * row[j] - a * top[j]) // prev
+        prev = p
+        pivots.append(col)
+    return m, pivots, parity
+
+
 def det_sign(rows: Sequence[Sequence]) -> int:
     """Sign of the determinant of a square matrix with exact entries."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    sign = PLUS
-    for col in range(n):
-        pivot = None
-        for row in range(col, n):
-            if m[row][col] != 0:
-                pivot = row
-                break
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        pv = m[col][col]
-        if pv < 0:
-            sign = -sign
-        for row in range(col + 1, n):
-            f = m[row][col] / pv
-            if f:
-                for k in range(col, n):
-                    m[row][k] -= f * m[col][k]
-    return sign
+    m, pivots, parity = _echelon(rows)
+    if len(pivots) < len(m):
+        return 0
+    return parity if not m or m[-1][-1] > 0 else -parity
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
     """Rank of a matrix with exact entries."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for rr in range(row, len(m)):
-            if m[rr][col] != 0:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        for rr in range(row + 1, len(m)):
-            f = m[rr][col] / pv
-            if f:
-                for k in range(col, ncols):
-                    m[rr][k] -= f * m[row][k]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
+    return len(_echelon(rows)[1])
 
 
 def signed_mask(seq: Sequence[int]) -> tuple[int, int]:
@@ -125,6 +129,13 @@ class ValidationReport:
 MAX_ELEMENTS = 20  # a chirotope's sign list has 2**n entries
 
 
+def _check_size(rank: int, n: int) -> None:
+    if rank < 1 or n < rank:
+        raise ValueError("need 1 <= rank <= n")
+    if n > MAX_ELEMENTS:
+        raise ValueError(f"chirotopes are stored densely, for n <= {MAX_ELEMENTS}")
+
+
 class InvalidChirotope(ValueError):
     """A chirotope failed the Grassmann-Pluecker check; carries the violations."""
 
@@ -146,10 +157,7 @@ class Chirotope:
 
     def __init__(self, rank: int, n: int, signs: dict):
         """signs maps r-subsets (tuples) to signs; missing subsets get 0."""
-        if rank < 1 or n < rank:
-            raise ValueError("need 1 <= rank <= n")
-        if n > MAX_ELEMENTS:
-            raise ValueError(f"chirotopes are stored densely, for n <= {MAX_ELEMENTS}")
+        _check_size(rank, n)
         self.rank = rank
         self.n = n
         self.signs = [0] * (1 << n)
@@ -183,8 +191,7 @@ class Chirotope:
 
     @classmethod
     def from_string(cls, rank: int, n: int, s: str) -> "Chirotope":
-        if rank < 1 or n < rank:
-            raise ValueError("need 1 <= rank <= n")
+        _check_size(rank, n)  # before C(n, r), which is slow for a huge n
         if len(s) != _ncr(n, rank):
             raise ValueError(f"expected {_ncr(n, rank)} sign characters, got {len(s)}")
         from .signs import char_sign
@@ -270,10 +277,6 @@ class Chirotope:
 
     def __repr__(self) -> str:
         return f"Chirotope(rank={self.rank}, n={self.n}, {self.to_string()!r})"
-
-
-def chirotope_from_points(points: Sequence[Sequence]) -> Chirotope:
-    return Chirotope.from_points(points)
 
 
 def _gp3_holds(signs: list, x: int, a: int, b: int, c: int, d: int) -> bool:
@@ -590,37 +593,11 @@ class OrientedMatroid:
         return True
 
     def inseparable_partners(self, f: int) -> list[tuple[int, str]]:
-        """Elements g inseparable from f, with the pair kind.
-
-        Kind names follow circuit signatures: 'contravariant' means the
-        cocircuit signs of f and g agree wherever both are nonzero
-        (their circuit signs oppose), 'covariant' the other way round.
-        Pairs never supported together are vacuously inseparable and
-        reported contravariant.
-        """
+        """Elements g inseparable from f, with the pair kind (`pair_kind`)."""
         if all(x[f] == 0 for x in self.cocircuits):
             raise ValueError(f"element {f} is a loop")
-        out = []
-        for g in range(self.n):
-            if g == f:
-                continue
-            same = opposite = False
-            for x in self.cocircuits:
-                sf, sg = x[f], x[g]
-                if sf and sg:
-                    if sf == sg:
-                        same = True
-                    else:
-                        opposite = True
-                if same and opposite:
-                    break
-            if same and opposite:
-                continue
-            if opposite:
-                out.append((g, "covariant"))
-            else:
-                out.append((g, "contravariant"))
-        return out
+        kinds = ((g, pair_kind(self, f, g)) for g in range(self.n) if g != f)
+        return [(g, kind) for g, kind in kinds if kind is not None]
 
     def exists_u24_minor(self, through: Optional[int] = None) -> bool:
         """Exhaustive search for a 4-point-line minor of the underlying matroid."""
@@ -673,9 +650,28 @@ class OrientedMatroid:
         )
 
 
-def _ncr(n: int, r: int) -> int:
-    import math
+def pair_kind(om: OrientedMatroid, f: int, g: int) -> Optional[str]:
+    """'covariant', 'contravariant', or None if the pair is separable.
 
+    Naming follows circuit signatures: a contravariant pair has equal
+    cocircuit signs wherever both are nonzero (opposed circuit signs),
+    a covariant pair has opposed cocircuit signs.  Pairs never supported
+    together are vacuously inseparable, reported contravariant.
+    """
+    same = opposite = False
+    for x in om.cocircuits:
+        sf, sg = x[f], x[g]
+        if sf and sg:
+            if sf == sg:
+                same = True
+            else:
+                opposite = True
+        if same and opposite:
+            return None
+    return "covariant" if opposite else "contravariant"
+
+
+def _ncr(n: int, r: int) -> int:
     if r < 0 or r > n:
         return 0
     return math.comb(n, r)
@@ -880,8 +876,8 @@ def realizable_extend_through(
         rows = [pts[i] for i in t]
         if matrix_rank(rows) != r - 1:
             raise ValueError(f"target {t} does not span a hyperplane")
-        normals.append(_hyperplane_normal(rows))
-    basis = _nullspace([list(nv) for nv in normals], r) if normals else [
+        normals.extend(_nullspace(rows, r))
+    basis = _nullspace(normals, r) if normals else [
         [Fraction(int(i == j)) for j in range(r)] for i in range(r)
     ]
     if not basis:
@@ -911,70 +907,21 @@ def realizable_extend_through(
     raise RuntimeError("no generic extension found within retry budget")
 
 
-def _hyperplane_normal(rows: list[list[Fraction]]) -> tuple[Fraction, ...]:
-    """A nonzero vector orthogonal to r-1 independent rows of length r."""
-    r = len(rows[0])
-    out = []
-    for j in range(r):
-        sub = [[row[k] for k in range(r) if k != j] for row in rows]
-        s = _det(sub)
-        out.append(s if j % 2 == 0 else -s)
-    return tuple(out)
-
-
-def _det(m: list[list[Fraction]]) -> Fraction:
-    n = len(m)
-    m = [row[:] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for row in range(col, n):
-            if m[row][col] != 0:
-                pivot = row
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        for row in range(col + 1, n):
-            f = m[row][col] / m[col][col]
-            if f:
-                for k in range(col, n):
-                    m[row][k] -= f * m[col][k]
-    return det
-
-
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    m = [row[:] for row in rows]
-    pivots = []
-    rr = 0
-    for col in range(ncols):
-        piv = None
-        for row in range(rr, len(m)):
-            if m[row][col] != 0:
-                piv = row
-                break
-        if piv is None:
-            continue
-        m[rr], m[piv] = m[piv], m[rr]
-        pv = m[rr][col]
-        m[rr] = [x / pv for x in m[rr]]
-        for row in range(len(m)):
-            if row != rr and m[row][col] != 0:
-                f = m[row][col]
-                m[row] = [a - f * b for a, b in zip(m[row], m[rr])]
-        pivots.append(col)
-        rr += 1
-    free = [c for c in range(ncols) if c not in pivots]
+def _nullspace(rows: Sequence[Sequence], ncols: int) -> list[list[Fraction]]:
+    """Basis of the solutions v of rows . v = 0: one vector per free
+    column c, with v[c] = 1 and v = 0 on the other free columns."""
+    m, pivots, _ = _echelon(rows)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(v)
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        # back-substitute over the integers, scaling v by each pivot
+        v = [0] * ncols
+        v[fc] = 1
+        for k in reversed(range(len(pivots))):
+            pc = pivots[k]
+            s = sum(m[k][j] * v[j] for j in range(pc + 1, ncols))
+            v = [x * m[k][pc] for x in v]
+            v[pc] = -s
+        basis.append([Fraction(x, v[fc]) for x in v])
     return basis
-
-

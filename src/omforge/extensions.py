@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .core import (
     Chirotope,
     OrientedMatroid,
     cocircuits_from_chirotope,
+    pair_kind,
     validate_cocircuit_axioms,
 )
 from .faces import (
@@ -29,7 +30,7 @@ from .faces import (
     mutation_from_basis,
     topes,
 )
-from .programs import Program, all_programs_euclidean, is_euclidean
+from .programs import Program, _neighbour_pairs, all_programs_euclidean, is_euclidean
 from .signs import MINUS, PLUS, SignVector, char_sign, sign_char
 
 
@@ -101,25 +102,10 @@ def extend_by_localization(
     out = set()
     for x in om.cocircuits:
         out.add(x.insert(pos, sigma[x]))
-    verts = om.sorted_cocircuits()
-    want = om.rank - 2
-    uniform = om.is_uniform()
-    for i, x in enumerate(verts):
-        sx = sigma[x]
-        if not sx:
-            continue
-        for j in range(i + 1, len(verts)):
-            y = verts[j]
-            if sigma[y] != -sx:
-                continue
-            if x.sep_mask(y):
-                continue
-            u = x.zero_mask & y.zero_mask
-            if uniform:
-                if bin(u).count("1") != want:
-                    continue
-            elif om.subset_rank(u) != want:
-                continue
+    verts = [x for x in om.sorted_cocircuits() if sigma[x]]
+    for i, j in _neighbour_pairs(om, verts):
+        x, y = verts[i], verts[j]
+        if sigma[y] == -sigma[x]:
             out.add(x.compose(y).insert(pos, 0))
     labels = None
     if om.labels is not None:
@@ -184,27 +170,6 @@ def lex_extend(
 # ---------------------------------------------------------------------------
 # inseparable pairs and corresponding cocircuits
 # ---------------------------------------------------------------------------
-
-def pair_kind(om: OrientedMatroid, f: int, g: int) -> Optional[str]:
-    """'covariant', 'contravariant', or None if the pair is separable.
-
-    Naming follows circuit signatures: a contravariant pair has equal
-    cocircuit signs wherever both are nonzero (opposed circuit signs),
-    a covariant pair has opposed cocircuit signs.  Pairs never supported
-    together are vacuously inseparable, reported contravariant.
-    """
-    same = opposite = False
-    for x in om.cocircuits:
-        sf, sg = x[f], x[g]
-        if sf and sg:
-            if sf == sg:
-                same = True
-            else:
-                opposite = True
-        if same and opposite:
-            return None
-    return "covariant" if opposite else "contravariant"
-
 
 def corresponding_cocircuit(
     om: OrientedMatroid, x: SignVector, f: int, fprime: int
@@ -528,3 +493,24 @@ def mandel_from_euclidean_mutant(
     return MandelPipelineResult(
         result, fp, spec, basis_order, g, deletion_ok, verdicts, neg
     )
+
+
+def _mandel_pipeline_results(
+    om: OrientedMatroid, mutation: Sequence[int]
+) -> Iterator[MandelPipelineResult]:
+    """`mandel_from_euclidean_mutant` on a mutation whose flip is
+    Euclidean, for each head in basis order and each g avoiding the
+    mutation in ascending order; attempts that raise ExtensionError are
+    skipped."""
+    for f in mutation:
+        order = (f,) + tuple(e for e in mutation if e != f)
+        for g in range(om.n):
+            if g in mutation:
+                continue
+            try:
+                result = mandel_from_euclidean_mutant(
+                    om, order, g, check_hypotheses=False
+                )
+            except ExtensionError:
+                continue
+            yield result

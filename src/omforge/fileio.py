@@ -56,6 +56,18 @@ def write_pts(path, points) -> None:
 
 
 def read_ccj(path) -> OrientedMatroid:
+    om = _read_ccj_unchecked(path)
+    actual = om.subset_rank(om.full_mask)
+    if actual != om.rank:
+        raise ValueError(
+            f"{path}: declared rank {om.rank}, but the cocircuits have rank {actual}"
+        )
+    return om
+
+
+def _read_ccj_unchecked(path) -> OrientedMatroid:
+    """A .ccj file's oriented matroid with its declared rank unchecked;
+    `omforge validate` reports a wrong rank as an axiom violation."""
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")

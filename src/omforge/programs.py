@@ -10,7 +10,7 @@ directed edges; direction-0 edges are never traversable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .core import OrientedMatroid
 from .faces import adjacent_cocircuits, topes
@@ -82,6 +82,24 @@ class Program:
             raise ValueError(f"f={self.f} is a coloop")
 
 
+def _neighbour_pairs(om: OrientedMatroid, verts) -> Iterator[tuple[int, int]]:
+    """Index pairs i < j, i-major, of conformal comodular cocircuits in verts."""
+    uniform = om.is_uniform()
+    want = om.rank - 2
+    for i, x in enumerate(verts):
+        for j in range(i + 1, len(verts)):
+            y = verts[j]
+            if x.sep_mask(y):
+                continue
+            u = x.zero_mask & y.zero_mask
+            if uniform:
+                if u.bit_count() != want:
+                    continue
+            elif om.subset_rank(u) != want:
+                continue
+            yield i, j
+
+
 def _edges_for_g(om: OrientedMatroid, g: int):
     """Vertices (cocircuits with g=+) and edges with their eliminations.
 
@@ -92,24 +110,11 @@ def _edges_for_g(om: OrientedMatroid, g: int):
     if cached is not None:
         return cached
     verts = tuple(x for x in om.sorted_cocircuits() if x[g] == PLUS)
-    uniform = om.is_uniform()
-    want = om.rank - 2
-    edges = []
-    for i, x in enumerate(verts):
-        for j in range(i + 1, len(verts)):
-            y = verts[j]
-            if x.sep_mask(y):
-                continue
-            u = x.zero_mask & y.zero_mask
-            if uniform:
-                if bin(u).count("1") != want:
-                    continue
-            elif om.subset_rank(u) != want:
-                continue
-            z = eliminate(om, -x, y, g)
-            edges.append((i, j, z))
-    cached = (verts, tuple(edges))
-    om._graph_cache[g] = cached
+    edges = tuple(
+        (i, j, eliminate(om, -verts[i], verts[j], g))
+        for i, j in _neighbour_pairs(om, verts)
+    )
+    cached = om._graph_cache[g] = (verts, edges)
     return cached
 
 
@@ -147,9 +152,24 @@ def edge_direction(p: Program, x: SignVector, y: SignVector) -> int:
     """Sign of the f-coordinate of El(-X, Y, g); + directs X -> Y."""
     if x[p.g] != PLUS or y[p.g] != PLUS:
         raise ValueError("both cocircuits must lie in the g=+ hemisphere")
-    if x.sep_mask(y) or not comodular(p.om, x, y):
+    z = _edge_elimination(p, x, y)
+    if z is None:
         raise ValueError("pair is not an edge of the cocircuit graph")
-    return eliminate(p.om, -x, y, p.g)[p.f]
+    return z[p.f]
+
+
+def _edge_elimination(p: Program, x: SignVector, y: SignVector) -> Optional[SignVector]:
+    """El(-X, Y, g) when X, Y are conformal and comodular, else None."""
+    if x.sep_mask(y) or not comodular(p.om, x, y):
+        return None
+    return eliminate(p.om, -x, y, p.g)
+
+
+def _cycle_witness(p: Program, verts) -> DirectedCycleWitness:
+    """The witness on a vertex cycle, with the edge eliminations."""
+    k = len(verts)
+    dirs = (eliminate(p.om, -verts[t], verts[(t + 1) % k], p.g) for t in range(k))
+    return DirectedCycleWitness(tuple(verts), tuple(dirs))
 
 
 def _tarjan_scc(adj: list[list[int]]) -> list[list[int]]:
@@ -272,12 +292,8 @@ def is_euclidean(p: Program) -> EuclideanVerdict:
     if not nontrivial:
         return EuclideanVerdict(True)
     cycle = _shortest_cycle(adj, nontrivial[0])
-    verts = tuple(graph.vertices[i] for i in cycle)
-    dirs = []
-    for t in range(len(verts)):
-        x, y = verts[t], verts[(t + 1) % len(verts)]
-        dirs.append(eliminate(p.om, -x, y, p.g))
-    return EuclideanVerdict(False, DirectedCycleWitness(verts, tuple(dirs)))
+    witness = _cycle_witness(p, [graph.vertices[i] for i in cycle])
+    return EuclideanVerdict(False, witness)
 
 
 def very_strong_components(p: Program) -> list[tuple[tuple[SignVector, ...], bool]]:
@@ -337,10 +353,8 @@ def verify_witness(p: Program, w: DirectedCycleWitness) -> bool:
         x, y = w.vertices[t], w.vertices[(t + 1) % k]
         if x[p.g] != PLUS or y[p.g] != PLUS:
             return False
-        if x.sep_mask(y) or not comodular(p.om, x, y):
-            return False
-        z = eliminate(p.om, -x, y, p.g)
-        if z != w.directions[t] or z[p.f] != PLUS:
+        z = _edge_elimination(p, x, y)
+        if z is None or z != w.directions[t] or z[p.f] != PLUS:
             return False
     return True
 
@@ -354,17 +368,13 @@ def find_chords(
     directed = []
     undirected = []
     for i in range(k):
-        for j in range(k):
-            if j in (i, (i + 1) % k):
-                continue
+        for j in range(i + 2, k):
             if (j + 1) % k == i:
                 continue
-            if j < i:
+            z = _edge_elimination(p, w.vertices[i], w.vertices[j])
+            if z is None:
                 continue
-            x, y = w.vertices[i], w.vertices[j]
-            if x.sep_mask(y) or not comodular(p.om, x, y):
-                continue
-            d = eliminate(p.om, -x, y, p.g)[p.f]
+            d = z[p.f]
             if d == 0:
                 undirected.append((i, j))
             else:
@@ -377,48 +387,30 @@ def reduce_cycle_chordless(p: Program, w: DirectedCycleWitness) -> DirectedCycle
     strictly directed chord remains.  The output is again a directed
     cycle; direction-0 chords are untraversable and left in place."""
     verts = list(w.vertices)
-    while True:
+    while (chord := _directed_chord(p, verts)) is not None:
+        i, j, d = chord
         k = len(verts)
-        reduced = False
-        for i in range(k):
-            for j in range(k):
-                if j in (i, (i + 1) % k) or (j + 1) % k == i:
-                    continue
-                x, y = verts[i], verts[j]
-                if x.sep_mask(y) or not comodular(p.om, x, y):
-                    continue
-                d = eliminate(p.om, -x, y, p.g)[p.f]
-                if d > 0:
-                    # go directly from i to j
-                    keep = []
-                    t = j
-                    while t != i:
-                        keep.append(verts[t])
-                        t = (t + 1) % k
-                    keep.append(verts[i])
-                    verts = keep
-                    reduced = True
-                elif d < 0:
-                    # segment i..j plus the chord back
-                    keep = []
-                    t = i
-                    while t != j:
-                        keep.append(verts[t])
-                        t = (t + 1) % k
-                    keep.append(verts[j])
-                    verts = keep
-                    reduced = True
-                if reduced:
-                    break
-            if reduced:
-                break
-        if not reduced:
-            break
-    dirs = []
-    for t in range(len(verts)):
-        x, y = verts[t], verts[(t + 1) % len(verts)]
-        dirs.append(eliminate(p.om, -x, y, p.g))
-    return DirectedCycleWitness(tuple(verts), tuple(dirs))
+        if d > 0:
+            # go directly from i to j: keep j, j+1, ..., i
+            verts = [verts[(j + t) % k] for t in range((i - j) % k + 1)]
+        else:
+            # segment i..j plus the chord back
+            verts = [verts[(i + t) % k] for t in range((j - i) % k + 1)]
+    return _cycle_witness(p, verts)
+
+
+def _directed_chord(p: Program, verts) -> Optional[tuple[int, int, int]]:
+    """The first strictly directed chord (i, j, sign), over all ordered
+    pairs, i-major, or None."""
+    k = len(verts)
+    for i in range(k):
+        for j in range(k):
+            if j in (i, (i + 1) % k) or (j + 1) % k == i:
+                continue
+            z = _edge_elimination(p, verts[i], verts[j])
+            if z is not None and z[p.f]:
+                return i, j, z[p.f]
+    return None
 
 
 @dataclass(frozen=True)

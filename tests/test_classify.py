@@ -52,6 +52,15 @@ def test_mandel_witness_non_euclidean(non_euclidean_om):
     assert witness.kind == "flip-pipeline"
 
 
+def test_mandel_witness_non_euclidean_golden(non_euclidean_om):
+    # the first ok pipeline result: head 0 in basis order, then g = 3
+    witness = mandel_witness_search(non_euclidean_om)
+    assert witness.kind == "flip-pipeline"
+    assert witness.mutation == (0, 1, 2, 5)
+    assert witness.g == 3
+    assert witness.spec.to_string() == "0:+,3:-,2:-,5:-"
+
+
 def test_mandel_implies_las_vergnas(non_euclidean_om):
     report = classify(non_euclidean_om)
     assert report.mandel_witness is not None

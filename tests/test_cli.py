@@ -3,6 +3,7 @@ import json
 import pytest
 
 from omforge.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_UNDETERMINED, run
+from omforge.core import MAX_ELEMENTS
 from omforge.corpus import cyclic_om, cyclic_points, w3
 from omforge.fileio import write_chi, write_pts
 
@@ -65,6 +66,15 @@ def test_validate_good_and_bad(tmp_path, capsys):
     bad.write_text("2 4\n++++-+\n")
     code, payload = run_json(capsys, ["validate", str(bad)])
     assert code == EXIT_INVALID and not payload["ok"]
+
+
+def test_validate_reports_a_wrong_ccj_rank(tmp_path, capsys):
+    # other commands reject this file (test_malformed_reader_input_is_an_error)
+    path = tmp_path / "rank_mismatch.ccj"
+    path.write_text('{"n": 2, "rank": 5, "cocircuits": ["+-", "-+"]}')
+    code, payload = run_json(capsys, ["validate", str(path)])
+    assert code == EXIT_INVALID and not payload["ok"]
+    assert payload["violations"][0]["axiom"] == "rank"
 
 
 def test_topes(w3_chi, capsys):
@@ -184,6 +194,8 @@ def test_threads_variable_is_ignored(w3_chi, capsys, monkeypatch):
         ("no_cocircuits.ccj", '{"n": 3, "rank": 2}'),
         ("top_level_list.ccj", '[1, 2, 3]'),
         ("int_labels.ccj", '{"n": 2, "rank": 1, "cocircuits": ["+-", "-+"], "labels": 5}'),
+        ("huge_header.chi", "500000 1000000\n+\n"),
+        ("rank_mismatch.ccj", '{"n": 2, "rank": 5, "cocircuits": ["+-", "-+"]}'),
     ],
 )
 def test_malformed_reader_input_is_an_error(tmp_path, capsys, name, text):
@@ -194,3 +206,5 @@ def test_malformed_reader_input_is_an_error(tmp_path, capsys, name, text):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    if name == "huge_header.chi":
+        assert f"n <= {MAX_ELEMENTS}" in lines[0]

@@ -1,16 +1,19 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from omforge.core import (
     Chirotope,
     OrientedMatroid,
+    _nullspace,
     chirotope_from_cocircuits,
-    chirotope_from_points,
     cocircuits_from_chirotope,
     cocircuits_from_points,
     om_from_points,
+    det_sign,
+    matrix_rank,
     realizable_extend_through,
     validate_chirotope,
     validate_cocircuit_axioms,
@@ -24,10 +27,10 @@ sv = SignVector.from_string
 W3_COCIRCUITS = {sv(s) for s in ("+0-", "-0+", "0--", "0++", "++0", "--0")}
 
 
-# -- chirotope_from_points ---------------------------------------------------
+# -- Chirotope.from_points --------------------------------------------------
 
 def test_rank2_collinear_hand_determinants():
-    chi = chirotope_from_points([[1, 1], [1, 2], [1, 3]])
+    chi = Chirotope.from_points([[1, 1], [1, 2], [1, 3]])
     # 2x2 determinants of (1,ti),(1,tj) are tj - ti > 0 for i < j
     assert chi.basis_sign((0, 1)) == 1
     assert chi.basis_sign((0, 2)) == 1
@@ -35,20 +38,95 @@ def test_rank2_collinear_hand_determinants():
 
 
 def test_repeated_row_gives_zero_sign():
-    chi = chirotope_from_points([[1, 1], [1, 1], [1, 3]])
+    chi = Chirotope.from_points([[1, 1], [1, 1], [1, 3]])
     assert chi.basis_sign((0, 1)) == 0
     assert not chi.is_uniform()
 
 
 def test_cyclic_moment_curve_all_plus():
-    chi = chirotope_from_points(cyclic_points(4, 8))
+    chi = Chirotope.from_points(cyclic_points(4, 8))
     # Vandermonde positivity: every 4x4 minor of the moment curve is positive
     assert chi.to_string() == "+" * 70
 
 
 def test_rank_deficient_rejected():
     with pytest.raises(ValueError):
-        chirotope_from_points([[1, 1], [2, 2], [3, 3]])
+        Chirotope.from_points([[1, 1], [2, 2], [3, 3]])
+
+
+# -- fraction-free elimination against the Leibniz formula --------------------
+
+def leibniz_det(m) -> Fraction:
+    """Permutation-sum determinant over Fraction."""
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(
+            perm[a] > perm[b] for a, b in itertools.combinations(range(len(perm)), 2)
+        )
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= Fraction(m[i][j])
+        total += term
+    return total
+
+
+def leibniz_rank(m) -> int:
+    """Largest k with a nonzero k x k minor."""
+    for k in range(min(len(m), len(m[0])), 0, -1):
+        for rows in itertools.combinations(range(len(m)), k):
+            for cols in itertools.combinations(range(len(m[0])), k):
+                if leibniz_det([[m[i][j] for j in cols] for i in rows]):
+                    return k
+    return 0
+
+
+def random_matrix(rng, nrows, ncols, rational):
+    def entry():
+        if rational:
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+        return rng.randint(-3, 3)
+
+    m = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    shape = rng.randrange(4)
+    if shape == 1 and nrows >= 2:
+        # the last row a combination of earlier rows
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[1 % (nrows - 1)])]
+    elif shape == 2:
+        # a zero column
+        j = rng.randrange(ncols)
+        for row in m:
+            row[j] = 0 * row[j]
+    elif shape == 3 and ncols >= 2:
+        # rank at most one
+        c = [rng.randint(-2, 2) for _ in range(nrows)]
+        m = [[c[i] * m[0][j] for j in range(ncols)] for i in range(nrows)]
+    return m
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_elimination_matches_leibniz(rational):
+    rng = random.Random(404 + rational)
+    for _ in range(250):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
+        m = random_matrix(rng, nrows, ncols, rational)
+        rank = leibniz_rank(m)
+        assert matrix_rank(m) == rank
+        if nrows == ncols:
+            d = leibniz_det(m)
+            assert det_sign(m) == (d > 0) - (d < 0)
+        basis = _nullspace(m, ncols)
+        assert len(basis) == ncols - rank
+        # the free columns: those outside the span of the columns before them
+        free = [
+            c for c in range(ncols)
+            if leibniz_rank([row[: c + 1] for row in m])
+            == leibniz_rank([row[:c] for row in m])
+        ]
+        assert len(free) == len(basis)
+        for fc, v in zip(free, basis):
+            assert all(sum(Fraction(a) * x for a, x in zip(row, v)) == 0 for row in m)
+            assert [v[c] for c in free] == [int(c == fc) for c in free]
 
 
 # -- validate_chirotope ------------------------------------------------------
@@ -57,7 +135,7 @@ def test_realizable_chirotopes_validate():
     rng = random.Random(2)
     for _ in range(8):
         pts = random_points(rng, 3, 6, uniform=False)
-        assert validate_chirotope(chirotope_from_points(pts)).ok
+        assert validate_chirotope(Chirotope.from_points(pts)).ok
 
 
 def test_grassmann_pluecker_violation():
@@ -73,7 +151,7 @@ def test_grassmann_pluecker_violation():
 def test_spec_rank2_pattern_is_actually_realizable():
     # chi(12)=chi(34)=chi(13)=chi(24)=chi(14)=+, chi(23)=- comes from
     # collinear points ordered 1,3,2,4, so it passes validation
-    chi = chirotope_from_points([[1, 0], [1, 2], [1, 1], [1, 3]])
+    chi = Chirotope.from_points([[1, 0], [1, 2], [1, 1], [1, 3]])
     assert chi.to_string() == "+++-++"
     assert validate_chirotope(chi).ok
 
@@ -304,7 +382,7 @@ def test_extend_through_generic():
     rng = random.Random(5)
     pts = cyclic_points(4, 8)
     ext = realizable_extend_through(pts, [], rng)
-    chi = chirotope_from_points(ext)
+    chi = Chirotope.from_points(ext)
     assert chi.is_uniform()
 
 
@@ -314,7 +392,7 @@ def test_extend_through_one_hyperplane():
     om = cyclic_om(4, 8)
     target = sorted(next(iter(om.cocircuits)).zero_set())
     ext = realizable_extend_through(pts, [target], rng)
-    chi = chirotope_from_points(ext)
+    chi = Chirotope.from_points(ext)
     # the three determinants through the target flat vanish, others not
     for a in itertools.combinations(range(8), 3):
         sign = chi.chi(*a, 8)
@@ -337,6 +415,26 @@ def test_extend_through_three_hyperplanes():
         if len(targets) == 3:
             break
     ext = realizable_extend_through(pts, targets, rng)
-    chi = chirotope_from_points(ext)
+    chi = Chirotope.from_points(ext)
     for t in targets:
         assert chi.chi(*t, 8) == 0
+
+
+@pytest.mark.parametrize(
+    "seed, targets, point",
+    [
+        (5, [], [39, -8, 5, 27]),
+        (6, [[2, 3, 7]], [Fraction(679, 24), 33, -30, 22]),
+        (
+            7,
+            [[5, 6, 7], [0, 6, 7], [4, 5, 7]],
+            [Fraction(1, 512), Fraction(1, 64), Fraction(1, 8), 1],
+        ),
+    ],
+)
+def test_extend_through_golden_points(seed, targets, point):
+    # the targets of the three tests above; the nullspace basis with
+    # v[free] = 1 is unique, so any exact elimination gives these points
+    ext = realizable_extend_through(cyclic_points(4, 8), targets, random.Random(seed))
+    assert ext[-1] == point
+    assert all(type(x) is Fraction for x in ext[-1])

@@ -6,6 +6,7 @@ from omforge.core import om_from_points
 from omforge.corpus import cyclic_om, random_points, w3
 from omforge.faces import mutations
 from omforge.programs import (
+    DirectedCycleWitness,
     ElementNotInSeparator,
     NonComodularPair,
     Program,
@@ -175,6 +176,35 @@ def test_chordless_reduction(non_euclidean_om):
     # chordless input is a fixed point
     again = reduce_cycle_chordless(p, reduced)
     assert again.vertices == reduced.vertices
+
+
+def test_chordless_reduction_golden(non_euclidean_om):
+    p = Program(non_euclidean_om, 0, 1)
+    shortest = (
+        "++0--0-0", "++0-00--", "+++000--", "+++00+0-", "+++0-+00", "++0--+00",
+    )
+    w = is_euclidean(p).witness
+    assert reduce_cycle_chordless(p, w).vertices == tuple(sv(s) for s in shortest)
+    # a longer directed cycle of the same program, with chords both ways:
+    # the reduction takes the first directed chord over ordered pairs,
+    # i-major, each round
+    long = [
+        sv(s) for s in (
+            "++---000", "++0--0-0", "++0-00--", "++000---", "+++000--",
+            "+++00+0-", "++++0+00", "+++0-+00", "++0--+00",
+        )
+    ]
+    dirs = [eliminate(p.om, -x, y, 0) for x, y in zip(long, long[1:] + long[:1])]
+    w = DirectedCycleWitness(tuple(long), tuple(dirs))
+    assert verify_witness(p, w)
+    assert find_chords(p, w) == ([(1, 8, -1), (2, 4, 1), (5, 7, 1)], [])
+    reduced = reduce_cycle_chordless(p, w)
+    assert reduced.vertices == tuple(
+        sv(s) for s in (
+            "+++0-+00", "++0--+00", "++0--0-0", "++0-00--", "+++000--", "+++00+0-",
+        )
+    )
+    assert verify_witness(p, reduced)
 
 
 def test_cycle_report(non_euclidean_om):
