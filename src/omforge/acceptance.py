@@ -356,8 +356,8 @@ def run_eight_point_campaign(ctx: AcceptanceContext) -> None:
         ctx.non_euclidean.append(om)
         if not has_euclidean_program(om):
             stats["a_failures"].append(node.key)
-        if node.depth <= 2 and not has_euclidean_program(om):
-            stats["d_failures"].append(node.key)
+            if node.depth <= 2:
+                stats["d_failures"].append(node.key)
         # witness for the cycle-structure criterion
         for g, fx in valid_programs(om):
             verdict = is_euclidean(Program(om, g, fx))

@@ -24,10 +24,6 @@ leaves the later leaf's subtree at the level where the two paths part,
 and skips every child in the orbit of a tried sibling under the maps
 found so far that fix the node's prefix.  Equivalent subtrees hold the
 same minimum, so the key is the one the full search would give.
-
-Above the exact-search budget (EXACT_LIMIT elements by default) a
-documented invariant hash is returned instead, prefixed 'hash:' to flag
-that it is not canonical.
 """
 
 from __future__ import annotations
@@ -39,8 +35,6 @@ from functools import lru_cache
 
 from .core import Chirotope, OrientedMatroid, signed_mask
 from .signs import MINUS, PLUS
-
-EXACT_LIMIT = 9  # largest n keyed exactly by default
 
 
 @lru_cache(maxsize=None)
@@ -119,7 +113,7 @@ def _element_invariants(om: OrientedMatroid) -> list:
         colours = refined
 
 
-def canonical_key(chi: Chirotope, exact_limit: int = EXACT_LIMIT, invariants=None) -> str:
+def canonical_key(chi: Chirotope, invariants=None) -> str:
     """Canonical chirotope string (lex-subset order) of the orbit.
 
     Minimization runs over relabelings that sort the per-element
@@ -129,8 +123,6 @@ def canonical_key(chi: Chirotope, exact_limit: int = EXACT_LIMIT, invariants=Non
     if not chi.is_uniform():
         raise ValueError("canonical key requires a uniform chirotope")
     n, r = chi.n, chi.rank
-    if n > exact_limit:
-        return _invariant_hash(chi)
     if invariants is None:
         from .core import cocircuits_from_chirotope
 
@@ -357,36 +349,14 @@ def _colex_index(b) -> int:
     return sum(math.comb(e, i + 1) for i, e in enumerate(b))
 
 
-def _invariant_hash(chi: Chirotope) -> str:
-    """Relabeling/reorientation-invariant fallback key (not canonical)."""
-    import hashlib
-
-    from .core import cocircuits_from_chirotope
-    from .faces import mutations
-
-    om = cocircuits_from_chirotope(chi)
-    certs = mutations(om)
-    counts = sorted(
-        sum(1 for c in certs if e in c.basis) for e in range(chi.n)
-    )
-    payload = f"{chi.rank},{chi.n},{len(certs)},{counts}"
-    digest = hashlib.sha256(payload.encode()).hexdigest()[:32]
-    return f"hash:{digest}"
-
-
-def canonical_form(om: OrientedMatroid, exact_limit: int = EXACT_LIMIT) -> str:
+def canonical_form(om: OrientedMatroid) -> str:
     """Canonical key of a uniform oriented matroid (dedup key for flip
     searches: equal iff same relabeling/reorientation class)."""
-    cache = om._canonical_key
-    if exact_limit in cache:
-        return cache[exact_limit]
-    chi = om.chirotope
-    if chi is None:
-        from .core import chirotope_from_cocircuits
+    if om._canonical_key is None:
+        chi = om.chirotope
+        if chi is None:
+            from .core import chirotope_from_cocircuits
 
-        chi = chirotope_from_cocircuits(om)
-    key = canonical_key(
-        chi, exact_limit=exact_limit, invariants=_element_invariants(om)
-    )
-    cache[exact_limit] = key
-    return key
+            chi = chirotope_from_cocircuits(om)
+        om._canonical_key = canonical_key(chi, invariants=_element_invariants(om))
+    return om._canonical_key

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .canonical import EXACT_LIMIT, canonical_form
+from .canonical import canonical_form
 from .core import OrientedMatroid
 from .extensions import LexExtensionSpec, _mandel_pipeline_results, lex_extend
 from .faces import (
@@ -237,43 +237,10 @@ class MutationGraph:
         }
 
 
-def _require_exact_keys(om: OrientedMatroid) -> None:
-    if om.n > EXACT_LIMIT:
-        raise ValueError(
-            f"flip-graph search needs exact canonical keys, computed only up "
-            f"to n = {EXACT_LIMIT} (exact-key limit); the seed has n = {om.n}"
-        )
-
-
 def _labelled(chi) -> int:
     """A uniform chirotope's labelled sign sequence as one int: bit m is
     set iff the basis with bitmask m is negative."""
     return sum(1 << m for m, s in enumerate(chi.signs) if s < 0)
-
-
-def _start_search(seed: OrientedMatroid) -> tuple[str, dict]:
-    """The seed's canonical key, and the search's memo from labelled
-    chirotopes (`_labelled`) to canonical keys, holding the seed."""
-    if seed.chirotope is None:
-        raise ValueError("flip-graph search requires a seed with a chirotope")
-    key = canonical_form(seed)
-    return key, {_labelled(seed.chirotope): key}
-
-
-def _keyed_neighbours(om: OrientedMatroid, keys: dict):
-    """(canonical key, child) for every mutation flip of om, in mutation
-    order.  A child whose labelled chirotope is already in `keys` is
-    neither flipped nor keyed again; it comes back as None."""
-    base = _labelled(om.chirotope)
-    for cert in mutations(om):
-        labelled = base ^ (1 << mask_of(cert.basis))
-        key = keys.get(labelled)
-        if key is not None:
-            yield key, None
-            continue
-        child = flip(om, cert)
-        key = keys[labelled] = canonical_form(child)
-        yield key, child
 
 
 def mutation_graph_bfs(
@@ -284,68 +251,68 @@ def mutation_graph_bfs(
 ) -> MutationGraph:
     """Flip BFS with canonical-form dedup, deterministic order.
 
-    node_hook(node) runs once per accepted node; budget exhaustion is
-    reported, and a partial graph is returned.  Seeds with more than
-    EXACT_LIMIT elements are rejected: their keys would not be exact.
+    node_hook(node) runs once per accepted node, in BFS order; a hook
+    that returns a true value ends the search after that node.  Budget
+    exhaustion is reported, and a partial graph is returned.
     """
     if not seed.is_uniform():
         raise ValueError("mutation graph BFS requires a uniform seed")
-    _require_exact_keys(seed)
-    seed_key, keys = _start_search(seed)
-    nodes: dict[str, MutationGraphNode] = {}
+    if seed.chirotope is None:
+        raise ValueError("flip-graph search requires a seed with a chirotope")
+    seed_key = canonical_form(seed)
+    # memo from labelled chirotopes (`_labelled`) to canonical keys: a
+    # child met before is neither flipped nor keyed again
+    keys = {_labelled(seed.chirotope): seed_key}
     root = MutationGraphNode(seed_key, seed, 0)
-    nodes[seed_key] = root
-    if node_hook is not None:
-        node_hook(root)
+    nodes: dict[str, MutationGraphNode] = {seed_key: root}
+    graph = MutationGraph(nodes, seed_key, False)
+    if node_hook is not None and node_hook(root):
+        return graph
     queue = deque([root])
-    exhausted = False
     while queue:
         node = queue.popleft()
         if max_depth is not None and node.depth >= max_depth:
             continue
-        for key, neighbor in _keyed_neighbours(node.om, keys):
+        base = _labelled(node.om.chirotope)
+        for cert in mutations(node.om):
+            labelled = base ^ (1 << mask_of(cert.basis))
+            key = keys.get(labelled)
+            child = None
+            if key is None:
+                child = flip(node.om, cert)
+                key = keys[labelled] = canonical_form(child)
             node.neighbors.append(key)
             if key in nodes:
                 continue
             if len(nodes) >= max_nodes:
-                exhausted = True
+                graph.exhausted_budget = True
                 continue
             # a key met before is in nodes unless the budget ran out, so
-            # a new node always comes with a freshly flipped neighbor
-            new = MutationGraphNode(key, neighbor, node.depth + 1)
+            # a new node always comes with a freshly flipped child
+            new = MutationGraphNode(key, child, node.depth + 1)
             nodes[key] = new
-            if node_hook is not None:
-                node_hook(new)
+            if node_hook is not None and node_hook(new):
+                return graph
             queue.append(new)
-    return MutationGraph(nodes, seed_key, exhausted)
+    return graph
 
 
 def flip_distance_to_euclidean(
     om: OrientedMatroid, radius: int = 3, max_nodes: int = 4000
 ) -> Optional[int]:
     """BFS distance to the nearest class whose programs are all
-    Euclidean; None if not found within the radius."""
-    _require_exact_keys(om)
-    if all_programs_euclidean(om):
-        return 0
-    seed_key, keys = _start_search(om)
-    seen = {seed_key}
-    frontier = [om]
-    for depth in range(1, radius + 1):
-        nxt = []
-        for current in frontier:
-            for key, neighbor in _keyed_neighbours(current, keys):
-                if key in seen:
-                    continue
-                seen.add(key)
-                if all_programs_euclidean(neighbor):
-                    return depth
-                if len(seen) < max_nodes:
-                    nxt.append(neighbor)
-        frontier = nxt
-        if not frontier:
-            break
-    return None
+    Euclidean; None if not found within the radius, or among the first
+    max_nodes classes the search accepts."""
+    found = []
+
+    def hook(node):
+        if all_programs_euclidean(node.om):
+            found.append(node.depth)
+            return True
+        return False
+
+    mutation_graph_bfs(om, max_nodes=max_nodes, max_depth=radius, node_hook=hook)
+    return found[0] if found else None
 
 
 def summary_table(oms: Iterable[OrientedMatroid]) -> dict:

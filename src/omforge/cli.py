@@ -1,9 +1,9 @@
 """Command-line front end.
 
 JSON goes to stdout (or --out); human-readable notes go to stderr.
-Exit codes: 0 ok, 1 parse/IO error, 2 undetermined or budget exhausted,
-3 validation failure.  The RNG seed is recorded in every output for
-replay.
+Exit codes: 0 ok, 1 parse/IO or usage error, 2 undetermined or budget
+exhausted, 3 validation failure.  The RNG seed is recorded in every
+output for replay.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from . import acceptance as accept
 from .classify import classify, mutation_graph_bfs, summary_table
@@ -30,7 +28,7 @@ from .faces import (
     mutations,
     topes,
 )
-from .fileio import _read_ccj_unchecked, load_om, read_chi
+from .fileio import load_om, read_ccj_fields, read_chi
 from .programs import Program, is_euclidean, program_verdicts
 from .signs import SignVector
 
@@ -40,30 +38,21 @@ EXIT_UNDETERMINED = 2
 EXIT_INVALID = 3
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    seed: int
-    out: Optional[str]
-    max_nodes: int
-    max_candidates: int
-    verbose: bool
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is a parse error: one `error:` line, exit 1
+        raise ValueError(message)
 
 
-def _emit(config: RunConfig, payload: dict) -> None:
+def _emit(args, payload: dict) -> None:
     payload = dict(payload)
-    payload["seed"] = config.seed
+    payload["seed"] = args.seed
     text = json.dumps(payload, indent=1, sort_keys=True)
-    if config.out:
-        with open(config.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _note(config: RunConfig, message: str) -> None:
-    if config.verbose:
-        print(message, file=sys.stderr)
 
 
 def _common_options(parser: argparse.ArgumentParser, top: bool) -> None:
@@ -77,12 +66,10 @@ def _common_options(parser: argparse.ArgumentParser, top: bool) -> None:
                         help="node budget for graph searches")
     parser.add_argument("--max-candidates", type=int, default=d(2000),
                         help="candidate budget for witness searches")
-    parser.add_argument("-v", "--verbose", action="store_true",
-                        default=d(False))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="omforge",
         description="oriented-matroid computations: cocircuits, mutations, "
         "Euclideaness, lexicographic extensions, classification",
@@ -151,17 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        subcommand=args.subcommand,
-        seed=args.seed,
-        out=args.out,
-        max_nodes=args.max_nodes,
-        max_candidates=args.max_candidates,
-        verbose=args.verbose,
-    )
     try:
-        return _dispatch(args, config)
+        return _dispatch(build_parser().parse_args(argv))
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -173,21 +151,23 @@ def run(argv=None) -> int:
         return EXIT_IO
 
 
-def _dispatch(args, config: RunConfig) -> int:
+def _dispatch(args) -> int:
     cmd = args.subcommand
     if cmd == "validate":
         if args.file.endswith(".chi"):
             report = validate_chirotope(read_chi(args.file))
+        elif args.file.endswith(".ccj"):
+            n, rank, vectors, _ = read_ccj_fields(args.file)
+            report = validate_cocircuit_axioms(vectors, n=n, rank=rank)
         else:
-            ccj = args.file.endswith(".ccj")
-            om = _read_ccj_unchecked(args.file) if ccj else load_om(args.file)
+            om = load_om(args.file)
             report = validate_cocircuit_axioms(om.cocircuits, n=om.n, rank=om.rank)
-        _emit(config, report.to_json())
+        _emit(args, report.to_json())
         return EXIT_OK if report.ok else EXIT_INVALID
 
     if cmd == "cocircuits":
         om = load_om(args.file)
-        _emit(config, {
+        _emit(args, {
             "n": om.n,
             "rank": om.rank,
             "cocircuits": sorted(x.to_string() for x in om.cocircuits),
@@ -197,7 +177,7 @@ def _dispatch(args, config: RunConfig) -> int:
     if cmd == "topes":
         om = load_om(args.file)
         ts = sorted(t.to_string() for t in topes(om))
-        _emit(config, {"count": len(ts), "topes": ts})
+        _emit(args, {"count": len(ts), "topes": ts})
         return EXIT_OK
 
     if cmd == "mutations":
@@ -205,7 +185,7 @@ def _dispatch(args, config: RunConfig) -> int:
         certs = mutations(om)
         loops, coloops = om.loops(), om.coloops()
         eligible = [e for e in range(om.n) if e not in loops and e not in coloops]
-        _emit(config, {
+        _emit(args, {
             "mutations": [c.to_json() for c in certs],
             "adjacency": {str(e): adjacent_mutation_count(om, e) for e in eligible},
             "L": min_adjacent_mutations(om) if eligible else None,
@@ -218,13 +198,13 @@ def _dispatch(args, config: RunConfig) -> int:
         payload = {"g": args.g, "f": args.f, "euclidean": verdict.euclidean}
         if verdict.witness is not None:
             payload["witness"] = verdict.witness.to_json()
-        _emit(config, payload)
+        _emit(args, payload)
         return EXIT_OK
 
     if cmd == "euclidean-all":
         om = load_om(args.file)
         verdicts = program_verdicts(om)
-        _emit(config, {
+        _emit(args, {
             "verdicts": [
                 {"g": g, "f": f, "euclidean": v}
                 for (g, f), v in sorted(verdicts.items())
@@ -245,14 +225,14 @@ def _dispatch(args, config: RunConfig) -> int:
         }
         if ext.chirotope is not None:
             payload["chirotope"] = ext.chirotope.to_string()
-        _emit(config, payload)
+        _emit(args, payload)
         return EXIT_OK
 
     if cmd == "flip":
         om = load_om(args.file)
         basis = tuple(int(x) for x in args.basis.split(","))
         flipped = flip_basis(om, basis)
-        _emit(config, {
+        _emit(args, {
             "basis": list(basis),
             "chirotope": flipped.chirotope.to_string(),
             "cocircuits": sorted(x.to_string() for x in flipped.cocircuits),
@@ -263,7 +243,7 @@ def _dispatch(args, config: RunConfig) -> int:
         om = load_om(args.file)
         x = SignVector.from_string(args.cocircuit)
         out = perturb_extension(om, x, args.element)
-        _emit(config, {
+        _emit(args, {
             "n": out.n,
             "rank": out.rank,
             "cocircuits": sorted(v.to_string() for v in out.cocircuits),
@@ -272,9 +252,9 @@ def _dispatch(args, config: RunConfig) -> int:
 
     if cmd == "classify":
         om = load_om(args.file)
-        report = classify(om, mandel_budget=config.max_candidates,
+        report = classify(om, mandel_budget=args.max_candidates,
                           search_mandel=om.is_uniform())
-        _emit(config, report.to_json())
+        _emit(args, report.to_json())
         if report.consistency_violations:
             return EXIT_INVALID
         if report.mandel_undetermined and not report.totally_non_euclidean:
@@ -283,29 +263,29 @@ def _dispatch(args, config: RunConfig) -> int:
 
     if cmd == "mutation-graph":
         om = load_om(args.seedfile)
-        graph = mutation_graph_bfs(om, max_nodes=config.max_nodes,
+        graph = mutation_graph_bfs(om, max_nodes=args.max_nodes,
                                    max_depth=args.depth)
-        _emit(config, graph.to_json())
+        _emit(args, graph.to_json())
         return EXIT_UNDETERMINED if graph.exhausted_budget else EXIT_OK
 
     if cmd == "mandel-pipeline":
         om = load_om(args.file)
         order = tuple(int(x) for x in args.mutation.split(","))
         result = mandel_from_euclidean_mutant(om, order, args.g)
-        _emit(config, result.to_json())
+        _emit(args, result.to_json())
         return EXIT_OK if result.ok else EXIT_INVALID
 
     if cmd == "summary":
         oms = [load_om(f) for f in args.files]
-        _emit(config, {"rows": summary_table(oms)})
+        _emit(args, {"rows": summary_table(oms)})
         return EXIT_OK
 
     if cmd == "acceptance":
-        results = accept.run_suite(args.suite, seed=config.seed,
+        results = accept.run_suite(args.suite, seed=args.seed,
                                    campaign_nodes=args.campaign_nodes)
         for res in results:
             print(res.line(), file=sys.stderr)
-        _emit(config, {
+        _emit(args, {
             "suite": args.suite,
             "results": [r.to_json() for r in results],
             "ok": all(r.ok for r in results),

@@ -381,7 +381,7 @@ class OrientedMatroid:
         self._graph_cache: dict[int, tuple] = {}
         self._tope_cache = None
         self._mutation_cache = None
-        self._canonical_key: dict[int, str] = {}  # exact_limit -> key
+        self._canonical_key: Optional[str] = None
         # True when the cocircuits were derived from `chirotope` and it
         # passed the Grassmann-Pluecker check; flips may then go local
         self._from_valid_chirotope = False

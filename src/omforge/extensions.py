@@ -430,9 +430,6 @@ class MandelPipelineResult:
     def ok(self) -> bool:
         return self.deletion_ok and all(self.program_verdicts.values())
 
-    def failed_programs(self) -> list[int]:
-        return [e for e, v in self.program_verdicts.items() if not v]
-
     def to_json(self) -> dict:
         return {
             "fprime": self.fprime,

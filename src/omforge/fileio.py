@@ -56,7 +56,13 @@ def write_pts(path, points) -> None:
 
 
 def read_ccj(path) -> OrientedMatroid:
-    om = _read_ccj_unchecked(path)
+    n, rank, cocircuits, labels = read_ccj_fields(path)
+    try:
+        om = OrientedMatroid(
+            n, rank, cocircuits, provenance="from-file", labels=labels
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     actual = om.subset_rank(om.full_mask)
     if actual != om.rank:
         raise ValueError(
@@ -65,9 +71,10 @@ def read_ccj(path) -> OrientedMatroid:
     return om
 
 
-def _read_ccj_unchecked(path) -> OrientedMatroid:
-    """A .ccj file's oriented matroid with its declared rank unchecked;
-    `omforge validate` reports a wrong rank as an axiom violation."""
+def read_ccj_fields(path) -> tuple:
+    """A .ccj file's (n, rank, cocircuits, labels), parsed but not
+    axiom-checked: `omforge validate` reports a set that is not closed
+    under negation, or that misses the declared rank, as a violation."""
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
@@ -82,6 +89,8 @@ def _read_ccj_unchecked(path) -> OrientedMatroid:
             f"{path}: 'n' and 'rank' must be integers and 'cocircuits' "
             f"a list of sign strings"
         ) from None
+    if any(x.n != n for x in cocircuits):
+        raise ValueError(f"{path}: every cocircuit must have n = {n} signs")
     labels = data.get("labels")
     if labels is not None and not (
         isinstance(labels, list)
@@ -89,13 +98,7 @@ def _read_ccj_unchecked(path) -> OrientedMatroid:
         and all(isinstance(x, str) for x in labels)
     ):
         raise ValueError(f"{path}: 'labels' must be a list of {n} strings")
-    return OrientedMatroid(
-        n,
-        rank,
-        cocircuits,
-        provenance="from-file",
-        labels=labels,
-    )
+    return n, rank, cocircuits, labels
 
 
 def write_ccj(path, om: OrientedMatroid) -> None:

@@ -84,10 +84,21 @@ def test_matches_brute_force_reference():
         assert mine == reference(chi)
 
 
-def test_hash_fallback_above_budget():
-    om = cyclic_om(3, 6)
-    key = canonical_form(om, exact_limit=5)
-    assert key.startswith("hash:")
+def test_orbit_copies_share_key_above_nine_elements():
+    from omforge.faces import flip, mutations
+
+    rng = random.Random(66)
+    for r, n in ((4, 10), (3, 11)):
+        om = cyclic_om(r, n)
+        neighbour = flip(om, mutations(om)[0])
+        keys = set()
+        for member in (om, neighbour):
+            key = canonical_form(member)
+            keys.add(key)
+            assert canonical_key(Chirotope.from_string(r, n, key)) == key
+            for _ in range(2):
+                assert canonical_key(orbit_copy(member.chirotope, rng)) == key
+        assert len(keys) == 2
 
 
 def _colex_string(chi):

@@ -1,8 +1,5 @@
-import importlib
 import random
 from collections import deque
-
-import pytest
 
 from omforge.canonical import canonical_form, canonical_key
 from omforge.classify import (
@@ -16,8 +13,8 @@ from omforge.classify import (
 from omforge.core import Chirotope, cocircuits_from_chirotope, om_from_points
 from omforge.corpus import cyclic_om, random_points, w3
 from omforge.extensions import lex_extend
-from omforge.faces import mutations
-from omforge.programs import Program, is_euclidean
+from omforge.faces import flip, mutations
+from omforge.programs import Program, all_programs_euclidean, is_euclidean
 
 
 def test_w3_las_vergnas():
@@ -177,16 +174,65 @@ def test_rank3_n8_closure_matches_full_rebuild():
     assert list(mine.items()) == list(reference_bfs(seed).items())
 
 
-def test_flip_searches_reject_inexact_keys(monkeypatch):
-    # the package's `classify` attribute is the function, not the module
-    classify_module = importlib.import_module("omforge.classify")
-
-    def no_flip(*args):
-        raise AssertionError("flipped before rejecting the seed")
-
-    monkeypatch.setattr(classify_module, "flip", no_flip)
+def test_mutation_graph_above_nine_elements():
+    # keys are exact at every n: the two-flip ball around cyclic_om(3,10)
+    # holds 7 classes, the keys of every labelled member within two flips
     seed = cyclic_om(3, 10)
-    with pytest.raises(ValueError, match="exact-key limit"):
-        mutation_graph_bfs(seed)
-    with pytest.raises(ValueError, match="exact-key limit"):
-        flip_distance_to_euclidean(seed)
+    graph = mutation_graph_bfs(seed, max_depth=2)
+    assert not graph.exhausted_budget
+    assert [node.depth for node in graph.nodes.values()] == [0, 1, 2, 2, 2, 2, 2]
+    ball = [seed]
+    for om in [seed] + [flip(seed, cert) for cert in mutations(seed)]:
+        for cert in mutations(om):
+            chi = om.chirotope.with_basis_flipped(cert.basis)
+            ball.append(cocircuits_from_chirotope(chi))
+    assert {canonical_form(om) for om in ball} == set(graph.nodes)
+
+
+def level_by_level_distance(om, radius, max_nodes=4000):
+    """The distance search as its own level-by-level loop, every
+    neighbour flipped and keyed afresh."""
+    if all_programs_euclidean(om):
+        return 0
+    seen = {canonical_form(om)}
+    frontier = [om]
+    for depth in range(1, radius + 1):
+        nxt = []
+        for current in frontier:
+            for cert in mutations(current):
+                neighbor = flip(current, cert)
+                key = canonical_form(neighbor)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if all_programs_euclidean(neighbor):
+                    return depth
+                if len(seen) < max_nodes:
+                    nxt.append(neighbor)
+        frontier = nxt
+        if not frontier:
+            break
+    return None
+
+
+def test_flip_distance_matches_level_by_level_search(non_euclidean_om):
+    seeds = [cyclic_om(4, 8), non_euclidean_om]
+    seeds += [flip(non_euclidean_om, cert) for cert in mutations(non_euclidean_om)]
+    for om in seeds:
+        for radius in range(4):
+            assert flip_distance_to_euclidean(om, radius=radius) == (
+                level_by_level_distance(om, radius)
+            )
+
+
+def test_true_hook_result_ends_the_search():
+    full = list(mutation_graph_bfs(cyclic_om(3, 6)).nodes)
+    for stop in range(1, 4):
+        seen = []
+
+        def hook(node):
+            seen.append(node.key)
+            return len(seen) == stop
+
+        graph = mutation_graph_bfs(cyclic_om(3, 6), node_hook=hook)
+        assert seen == list(graph.nodes) == full[:stop]

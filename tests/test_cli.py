@@ -169,15 +169,51 @@ def test_header_only_chi_is_an_error(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_mutation_graph_above_exact_key_limit(tmp_path, capsys):
+def test_mutation_graph_on_ten_elements(tmp_path, capsys):
     seed = tmp_path / "c310.chi"
     write_chi(seed, cyclic_om(3, 10).chirotope)
-    assert run(["mutation-graph", str(seed)]) == EXIT_IO
+    code, payload = run_json(capsys, ["mutation-graph", str(seed), "--depth", "2"])
+    assert code == EXIT_OK
+    assert len(payload["nodes"]) == 7 and not payload["budget_exhausted"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["euclidean", "x.chi", "--g", "abc", "--f", "1"],
+        ["no-such-command", "x.chi"],
+    ],
+)
+def test_usage_error_exits_1(capsys, argv):
+    assert run(argv) == EXIT_IO
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "exact-key limit" in lines[0]
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    assert "usage: omforge" in capsys.readouterr().out
+
+
+def test_validate_reports_a_ccj_not_closed_under_negation(tmp_path, capsys):
+    path = tmp_path / "open.ccj"
+    path.write_text('{"n": 3, "rank": 2, "cocircuits": ["++0", "+0-", "0++"]}')
+    code, payload = run_json(capsys, ["validate", str(path)])
+    assert code == EXIT_INVALID and not payload["ok"]
+    assert {v["axiom"] for v in payload["violations"]} == {"C1"}
+
+
+def test_validate_rejects_a_ccj_vector_of_the_wrong_length(tmp_path, capsys):
+    path = tmp_path / "short.ccj"
+    path.write_text('{"n": 3, "rank": 2, "cocircuits": ["++0", "--0", "+0"]}')
+    assert run(["validate", str(path)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")
 
 
 def test_threads_variable_is_ignored(w3_chi, capsys, monkeypatch):
