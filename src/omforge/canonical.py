@@ -70,10 +70,10 @@ def _element_invariants(om: OrientedMatroid) -> list:
     ranks of label-free values, so isomorphic inputs get the same
     colours on corresponding elements.
     """
-    from .faces import mutations
+    from .faces import mutation_bases
 
     n = om.n
-    bases = [cert.basis for cert in mutations(om)]
+    bases = mutation_bases(om)
     holding = [[b for b in bases if e in b] for e in range(n)]
     pair = Counter(p for b in bases for p in itertools.combinations(b, 2))
     triple = Counter(t for b in bases for t in itertools.combinations(b, 3))
@@ -127,6 +127,12 @@ def canonical_key(chi: Chirotope, invariants=None) -> str:
         from .core import cocircuits_from_chirotope
 
         invariants = _element_invariants(cocircuits_from_chirotope(chi))
+    if r <= 2:
+        # every uniform chirotope of rank <= 2 has the all-'+' chirotope
+        # in its class: reorient its vectors into the open upper
+        # half-plane and order them by angle.  That is the least string,
+        # so it is the key the search below would reach.
+        return "+" * math.comb(n, r)
     inv = invariants
     required = sorted(inv)
     values = chi.signs

@@ -19,7 +19,9 @@ from .extensions import LexExtensionSpec, _mandel_pipeline_results, lex_extend
 from .faces import (
     adjacent_mutation_count,
     flip,
+    flip_basis,
     min_adjacent_mutations,
+    mutation_bases,
     mutations,
 )
 from .programs import (
@@ -169,8 +171,8 @@ def classify(
 ) -> ClassificationReport:
     loops, coloops = om.loops(), om.coloops()
     eligible = [e for e in range(om.n) if e not in loops and e not in coloops]
-    certs = mutations(om)
-    adjacency = {e: sum(1 for c in certs if e in c.basis) for e in eligible}
+    bases = mutation_bases(om)
+    adjacency = {e: sum(1 for b in bases if e in b) for e in eligible}
     lv = all(c >= 1 for c in adjacency.values())
     eall = all_programs_euclidean(om)
     tne = False if eall else not has_euclidean_program(om)
@@ -193,7 +195,7 @@ def classify(
         mandel_undetermined=undetermined,
         L=min(adjacency.values()) if adjacency else None,
         adjacency=adjacency,
-        mutation_count=len(certs),
+        mutation_count=len(bases),
     )
     if report.realizable_by_construction and not report.euclidean_all_programs:
         report.consistency_violations.append("realizable but not Euclidean")
@@ -274,12 +276,12 @@ def mutation_graph_bfs(
         if max_depth is not None and node.depth >= max_depth:
             continue
         base = _labelled(node.om.chirotope)
-        for cert in mutations(node.om):
-            labelled = base ^ (1 << mask_of(cert.basis))
+        for basis in mutation_bases(node.om):
+            labelled = base ^ (1 << mask_of(basis))
             key = keys.get(labelled)
             child = None
             if key is None:
-                child = flip(node.om, cert)
+                child = flip_basis(node.om, basis)
                 key = keys[labelled] = canonical_form(child)
             node.neighbors.append(key)
             if key in nodes:

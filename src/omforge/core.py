@@ -3,9 +3,12 @@
 Two representations live here.  A Chirotope is the alternating sign map
 on r-subsets (uniform or not), exact over the rationals when built from
 a point configuration.  An OrientedMatroid is the cocircuit-set
-representation, which is authoritative: it handles non-uniform cases
-(direct sums, special position) where the chirotope is absent, and it
-carries the rank oracle computed from hyperplane flats.
+representation: it handles non-uniform cases (direct sums, special
+position) where the chirotope is absent, and it carries the rank oracle
+computed from hyperplane flats.  An OrientedMatroid that carries a
+chirotope carries a validated one; for uniform classes that chirotope is
+authoritative (mutations and flips read its signs), and the cocircuits
+are derived from it on first use.
 """
 
 from __future__ import annotations
@@ -116,7 +119,13 @@ class ValidationReport:
         return {
             "ok": self.ok,
             "violations": [
-                {"axiom": axiom, "witness": [str(w) for w in witness]}
+                {
+                    "axiom": axiom,
+                    "witness": [
+                        w.to_string() if isinstance(w, SignVector) else str(w)
+                        for w in witness
+                    ],
+                }
                 for axiom, witness in self.violations
             ],
         }
@@ -238,6 +247,34 @@ class Chirotope:
         signs[m] = -signs[m]
         return Chirotope._dense(self.rank, self.n, signs)
 
+    def is_mutation(self, basis_mask: int) -> bool:
+        """Whether negating the sign of the basis gives a chirotope again,
+        for a valid uniform chirotope (Roudneff & Sturmfels, "Simplicial
+        cells in arrangements and mutations of oriented matroids", 1988).
+
+        For p < q in B and s outside B, let w_s = chi(B-q+s) chi(B-p+s)
+        on sorted subsets, negated when p < s < q.  Dropping B's own term
+        from the three-term relation on {p, q, s, t} leaves
+        chi(B-q+s) chi(B-p+t) and chi(B-q+t) chi(B-p+s), which have
+        opposite signs in the relation iff w_s = w_t; so B is a mutation
+        iff w_s is constant in s for every pair p < q.  That is
+        C(r,2) * (n-r) sign reads.
+        """
+        signs = self.signs
+        outside = [e for e in range(self.n) if not basis_mask >> e & 1]
+        for p, q in itertools.combinations(bits(basis_mask), 2):
+            without_p, without_q = basis_mask & ~(1 << p), basis_mask & ~(1 << q)
+            first = 0
+            for s in outside:
+                w = signs[without_q | 1 << s] * signs[without_p | 1 << s]
+                if p < s < q:
+                    w = -w
+                if not first:
+                    first = w
+                elif w != first:
+                    return False
+        return True
+
     def negate(self) -> "Chirotope":
         return Chirotope._dense(self.rank, self.n, [-s for s in self.signs])
 
@@ -319,25 +356,6 @@ def validate_chirotope(chi: Chirotope) -> ValidationReport:
     return ValidationReport(not violations, tuple(violations))
 
 
-def flip_violations(chi: Chirotope, basis_mask: int) -> tuple:
-    """Three-term Grassmann-Pluecker violations among the relations that
-    contain the basis: C(r,2) * C(n-r,2) of them.  A chirotope that
-    differs from a valid one only on this basis is valid iff none fail.
-    """
-    signs = chi.signs
-    inside = list(bits(basis_mask))
-    outside = [e for e in range(chi.n) if not basis_mask >> e & 1]
-    violations = []
-    for p, q in itertools.combinations(inside, 2):
-        x = basis_mask & ~(1 << p) & ~(1 << q)
-        for s, t in itertools.combinations(outside, 2):
-            four = sorted((p, q, s, t))
-            a, b, c, d = (1 << e for e in four)
-            if not _gp3_holds(signs, x, a, b, c, d):
-                violations.append(_gp3_violation(x, four))
-    return tuple(violations)
-
-
 # ---------------------------------------------------------------------------
 # oriented matroid (cocircuit representation)
 # ---------------------------------------------------------------------------
@@ -348,6 +366,9 @@ class OrientedMatroid:
     Immutable after construction; the hyperplane list and the rank
     oracle are derived caches.  `provenance` records how the instance
     arose ('from-points', 'from-chirotope', 'from-file', 'derived').
+    `chirotope` is None unless the instance was built from a validated
+    chirotope (`_from_chirotope`); then the cocircuits are derived from
+    it on first use.
     """
 
     def __init__(
@@ -357,18 +378,17 @@ class OrientedMatroid:
         cocircuits: Iterable[SignVector],
         provenance: str = "derived",
         labels: Optional[Sequence[str]] = None,
-        chirotope: Optional[Chirotope] = None,
     ):
         self.n = n
         self.rank = rank
-        self.cocircuits = frozenset(cocircuits)
+        self._cocircuits = frozenset(cocircuits)
         self.provenance = provenance
         self.labels = tuple(labels) if labels is not None else None
-        self.chirotope = chirotope
-        for x in self.cocircuits:
+        self.chirotope: Optional[Chirotope] = None
+        for x in self._cocircuits:
             if x.n != n:
                 raise ValueError("cocircuit length != ground set size")
-            if -x not in self.cocircuits:
+            if -x not in self._cocircuits:
                 raise ValueError("cocircuit set not closed under negation")
             if x.is_zero():
                 raise ValueError("zero vector among cocircuits")
@@ -381,12 +401,29 @@ class OrientedMatroid:
         self._graph_cache: dict[int, tuple] = {}
         self._tope_cache = None
         self._mutation_cache = None
+        self._mutation_bases = None
         self._canonical_key: Optional[str] = None
-        # True when the cocircuits were derived from `chirotope` and it
-        # passed the Grassmann-Pluecker check; flips may then go local
-        self._from_valid_chirotope = False
+
+    @classmethod
+    def _from_chirotope(
+        cls,
+        chi: Chirotope,
+        provenance: str = "derived",
+        labels: Optional[Sequence[str]] = None,
+    ) -> "OrientedMatroid":
+        """The oriented matroid of a chirotope the caller knows is valid."""
+        out = cls(chi.n, chi.rank, (), provenance, labels)
+        out.chirotope = chi
+        out._cocircuits = None
+        return out
 
     # -- derived structure ----------------------------------------------
+
+    @property
+    def cocircuits(self) -> frozenset[SignVector]:
+        if self._cocircuits is None:
+            self._cocircuits = _derive_cocircuits(self.chirotope)
+        return self._cocircuits
 
     @property
     def full_mask(self) -> int:
@@ -456,34 +493,38 @@ class OrientedMatroid:
         )
 
     def is_uniform(self) -> bool:
-        """Every (r-1)-subset spans a hyperplane (all r-subsets are bases)."""
+        """All r-subsets are bases: read from the chirotope when there is
+        one, else every (r-1)-subset spans a hyperplane."""
         if self._uniform is None:
-            r = self.rank
-            hyps = self.hyperplanes()
-            self._uniform = len(hyps) == _ncr(self.n, r - 1) and all(
-                bin(h).count("1") == r - 1 for h in hyps
-            )
+            if self.chirotope is not None:
+                self._uniform = self.chirotope.is_uniform()
+            else:
+                r = self.rank
+                hyps = self.hyperplanes()
+                self._uniform = len(hyps) == _ncr(self.n, r - 1) and all(
+                    bin(h).count("1") == r - 1 for h in hyps
+                )
         return self._uniform
 
     # -- structural operations -------------------------------------------
 
     def reorient(self, elements: Iterable[int]) -> "OrientedMatroid":
         mask = mask_of(elements)
-        chi = self.chirotope.reorient(bits(mask)) if self.chirotope else None
-        out = OrientedMatroid(
+        if self.chirotope is not None:
+            return OrientedMatroid._from_chirotope(
+                self.chirotope.reorient(bits(mask)), labels=self.labels
+            )
+        return OrientedMatroid(
             self.n,
             self.rank,
             (x.reorient(mask) for x in self.cocircuits),
             provenance="derived",
             labels=self.labels,
-            chirotope=chi,
         )
-        out._from_valid_chirotope = self._from_valid_chirotope
-        return out
 
     def dual(self) -> "OrientedMatroid":
         if self.chirotope is not None:
-            return cocircuits_from_chirotope(self.chirotope.dual(), provenance="derived")
+            return OrientedMatroid._from_chirotope(self.chirotope.dual())
         circuits = self._signed_circuits()
         return OrientedMatroid(
             self.n,
@@ -692,16 +733,33 @@ def _orthogonal(x: SignVector, y: SignVector) -> bool:
 # ---------------------------------------------------------------------------
 
 def cocircuits_from_chirotope(chi: Chirotope, provenance: str = "from-chirotope") -> OrientedMatroid:
-    """Cocircuits via basic-cocircuit signs: C_e = chi(e, A) for each
-    spanning (r-1)-subset A (sorted), zero on the closure of A."""
+    """The oriented matroid of a chirotope, after the Grassmann-Pluecker
+    check; its cocircuits are derived on first use (`_derive_cocircuits`)."""
     report = validate_chirotope(chi)
     if not report.ok:
         raise InvalidChirotope(report.violations)
-    r, n = chi.rank, chi.n
+    om = OrientedMatroid._from_chirotope(chi, provenance=provenance)
+    if not chi.is_uniform():
+        # derive now: a non-uniform chirotope can still give one
+        # hyperplane inconsistent signs, which raises here
+        om._cocircuits = _derive_cocircuits(chi)
+    return om
+
+
+def _derive_cocircuits(chi: Chirotope) -> frozenset[SignVector]:
+    """Cocircuits via basic-cocircuit signs: C_e = chi(e, A) for each
+    spanning (r-1)-subset A (sorted), zero on the closure of A."""
+    r, n, signs = chi.rank, chi.n, chi.signs
     by_zero: dict[int, SignVector] = {}
     for a in itertools.combinations(range(n), r - 1):
-        signs = [chi.chi(e, *a) for e in range(n)]
-        vec = SignVector.from_signs(signs)
+        am = mask_of(a)
+        # chi(e, A) is the sorted subset's sign, negated when an odd
+        # number of A's elements precede e; 0 for e in A
+        vec = SignVector.from_signs([
+            -signs[am | 1 << e] if (am & ((1 << e) - 1)).bit_count() & 1
+            else signs[am | 1 << e]
+            for e in range(n)
+        ])
         if vec.is_zero():
             continue  # A does not span a hyperplane
         prev = by_zero.get(vec.zero_mask)
@@ -713,9 +771,7 @@ def cocircuits_from_chirotope(chi: Chirotope, provenance: str = "from-chirotope"
     for vec in by_zero.values():
         cocircuits.add(vec)
         cocircuits.add(-vec)
-    om = OrientedMatroid(n, r, cocircuits, provenance=provenance, chirotope=chi)
-    om._from_valid_chirotope = True
-    return om
+    return frozenset(cocircuits)
 
 
 def cocircuits_from_points(points: Sequence[Sequence]) -> set[SignVector]:

@@ -5,6 +5,13 @@ adjacent cocircuits, iff some basis has pairwise-conformal base
 cocircuits after sign normalization.  Mutations are identified with
 bases; a certificate carries the normalized base cocircuits and their
 composition (one tope of the antipodal pair).
+
+For a uniform oriented matroid with a chirotope, the chirotope is
+authoritative: its mutation bases come from the sign test
+`Chirotope.is_mutation`, and a flip negates one sign and derives the
+child's cocircuits only when something asks for them.  The cocircuit
+route (`mutation_from_basis` over every basis) is the oracle, and the
+route for oriented matroids given by cocircuits alone.
 """
 
 from __future__ import annotations
@@ -13,12 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import (
-    InvalidChirotope,
-    OrientedMatroid,
-    cocircuits_from_chirotope,
-    flip_violations,
-)
+from .core import OrientedMatroid
 from .signs import SignVector, mask_of
 
 
@@ -166,22 +168,37 @@ def certificate_topes(om: OrientedMatroid, basis: Iterable[int]) -> frozenset[Si
 
 def mutations(om: OrientedMatroid) -> tuple[MutationCertificate, ...]:
     """Certificates over all bases, one per basis, deterministic order."""
-    if om._mutation_cache is not None:
-        return om._mutation_cache
-    out = []
-    for b in itertools.combinations(range(om.n), om.rank):
-        if om.subset_rank(b) != om.rank:
-            continue
-        cert = mutation_from_basis(om, b)
-        if cert is not None:
-            out.append(cert)
-    om._mutation_cache = tuple(out)
+    if om._mutation_cache is None:
+        if om.chirotope is not None and om.is_uniform():
+            candidates = mutation_bases(om)
+        else:
+            candidates = (
+                b for b in itertools.combinations(range(om.n), om.rank)
+                if om.subset_rank(b) == om.rank
+            )
+        certs = (mutation_from_basis(om, b) for b in candidates)
+        om._mutation_cache = tuple(c for c in certs if c is not None)
     return om._mutation_cache
+
+
+def mutation_bases(om: OrientedMatroid) -> tuple[tuple[int, ...], ...]:
+    """The mutation bases in lexicographic order: by the sign test on a
+    uniform oriented matroid's chirotope, else the bases of `mutations`."""
+    if om._mutation_bases is None:
+        chi = om.chirotope
+        if chi is not None and om.is_uniform():
+            om._mutation_bases = tuple(
+                b for b in itertools.combinations(range(om.n), om.rank)
+                if chi.is_mutation(mask_of(b))
+            )
+        else:
+            om._mutation_bases = tuple(cert.basis for cert in mutations(om))
+    return om._mutation_bases
 
 
 def adjacent_mutation_count(om: OrientedMatroid, e: int) -> int:
     """Number of mutation bases containing the element."""
-    return sum(1 for cert in mutations(om) if e in cert.basis)
+    return sum(1 for b in mutation_bases(om) if e in b)
 
 
 def min_adjacent_mutations(om: OrientedMatroid) -> int:
@@ -198,46 +215,27 @@ def min_adjacent_mutations(om: OrientedMatroid) -> int:
 
 
 def flip(om: OrientedMatroid, cert: MutationCertificate) -> OrientedMatroid:
-    """Negate the chirotope on the mutation basis.
-
-    Uniform-with-chirotope only; staleness of the certificate is rejected
-    up front.  When om's cocircuits were derived from its validated
-    chirotope (`cocircuits_from_chirotope`, `reorient` or an earlier
-    flip), only the Grassmann-Pluecker relations containing the basis are
-    re-checked, and only the r cocircuit pairs on the basis's
-    (r-1)-subsets change, each in one coordinate.  Any other om gets the
-    full rebuild, `cocircuits_from_chirotope`, which is also the oracle
-    the incremental route is tested against.
-    """
-    if om.chirotope is None or not om.is_uniform():
-        raise ValueError("flip requires a uniform oriented matroid with chirotope")
-    fresh = mutation_from_basis(om, cert.basis)
-    if fresh is None or any(x not in om.cocircuits for x in cert.cocircuit_vectors()):
+    """`flip_basis` at the certificate's basis; a stale certificate,
+    whose cocircuits are not all cocircuits of om, is rejected."""
+    if any(x not in om.cocircuits for x in cert.cocircuit_vectors()):
         raise ValueError("stale certificate: not a mutation of this oriented matroid")
-    chi = om.chirotope.with_basis_flipped(cert.basis)
-    what = "flip produced an invalid chirotope"
-    if not om._from_valid_chirotope:
-        try:
-            return cocircuits_from_chirotope(chi, provenance="derived")
-        except InvalidChirotope as exc:
-            raise InvalidChirotope(exc.violations, what) from None
-    bmask = mask_of(cert.basis)
-    violations = flip_violations(chi, bmask)
-    if violations:
-        raise InvalidChirotope(violations, what)
-    cocircuits = set(om.cocircuits)
-    for e in cert.basis:
-        x = om.cocircuit_with_zero(bmask & ~(1 << e))
-        y = x.reorient(1 << e)
-        cocircuits -= {x, -x}
-        cocircuits |= {y, -y}
-    out = OrientedMatroid(om.n, om.rank, cocircuits, provenance="derived", chirotope=chi)
-    out._from_valid_chirotope = True
-    return out
+    return flip_basis(om, cert.basis)
 
 
 def flip_basis(om: OrientedMatroid, basis: Iterable[int]) -> OrientedMatroid:
-    cert = mutation_from_basis(om, basis)
-    if cert is None:
-        raise ValueError(f"{tuple(basis)} is not a mutation basis")
-    return flip(om, cert)
+    """Negate the chirotope on a mutation basis.
+
+    Uniform-with-chirotope only.  The sign test decides the mutation, so
+    the flipped chirotope is valid without a check; the child derives
+    its cocircuits on first use.  `cocircuits_from_chirotope` of the
+    flipped chirotope is the oracle this is tested against.
+    """
+    chi = om.chirotope
+    if chi is None or not om.is_uniform():
+        raise ValueError("flip requires a uniform oriented matroid with chirotope")
+    b = tuple(sorted(set(basis)))
+    if len(b) != om.rank or not all(0 <= e < om.n for e in b):
+        raise ValueError(f"{b} is not a basis")
+    if not chi.is_mutation(mask_of(b)):
+        raise ValueError(f"{b} is not a mutation basis")
+    return OrientedMatroid._from_chirotope(chi.with_basis_flipped(b))

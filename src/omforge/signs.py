@@ -31,15 +31,6 @@ def char_sign(c: str) -> int:
         raise ValueError(f"not a sign character: {c!r}") from None
 
 
-def sign_of(x) -> int:
-    """Sign of an exact number (int or Fraction)."""
-    if x > 0:
-        return PLUS
-    if x < 0:
-        return MINUS
-    return ZERO
-
-
 def mask_of(elements: Iterable[int]) -> int:
     m = 0
     for e in elements:

@@ -78,7 +78,7 @@ def test_matches_brute_force_reference():
         return best
 
     rng = random.Random(62)
-    for r, n in ((2, 4), (2, 5), (3, 5), (4, 6)):
+    for r, n in ((2, 4), (2, 5), (3, 5), (4, 6), (1, 4), (2, 6)):
         chi = om_from_points(random_points(rng, r, n)).chirotope
         mine = colex_string(Chirotope.from_string(r, n, canonical_key(chi)))
         assert mine == reference(chi)
@@ -99,6 +99,15 @@ def test_orbit_copies_share_key_above_nine_elements():
             for _ in range(2):
                 assert canonical_key(orbit_copy(member.chirotope, rng)) == key
         assert len(keys) == 2
+
+
+def test_rank2_neighbour_key_is_all_plus():
+    # every uniform class of rank <= 2 holds the all-'+' chirotope
+    from omforge.faces import flip, mutations
+
+    om = cyclic_om(2, 16)
+    neighbour = flip(om, mutations(om)[0])
+    assert canonical_form(neighbour) == "+" * 120
 
 
 def _colex_string(chi):
@@ -152,7 +161,8 @@ def test_pruned_search_matches_unpruned_on_symmetric_instances(monkeypatch):
         chi = cyclic_om(r, n).chirotope
         builds.clear()
         mine = _colex_string(Chirotope.from_string(r, n, canonical_key(chi)))
-        assert builds, f"no automorphism pruning on cyclic_om({r},{n})"
+        if r > 2:  # keys of rank <= 2 are all '+' without a search
+            assert builds, f"no automorphism pruning on cyclic_om({r},{n})"
         assert mine == _unpruned_key(chi)
 
 

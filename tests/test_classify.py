@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import deque
 
@@ -13,7 +14,7 @@ from omforge.classify import (
 from omforge.core import Chirotope, cocircuits_from_chirotope, om_from_points
 from omforge.corpus import cyclic_om, random_points, w3
 from omforge.extensions import lex_extend
-from omforge.faces import flip, mutations
+from omforge.faces import flip, mutation_from_basis, mutations
 from omforge.programs import Program, all_programs_euclidean, is_euclidean
 
 
@@ -143,14 +144,17 @@ def test_summary_table():
 
 
 def reference_bfs(seed):
-    """The flip BFS with every flip a full rebuild and every child keyed."""
+    """The flip BFS with mutations found by the cocircuit route on every
+    r-subset, every flip a full rebuild and every child keyed."""
     seed_key = canonical_form(seed)
     nodes = {seed_key: (seed, 0, [])}
     queue = deque([seed_key])
     while queue:
         om, depth, neighbors = nodes[queue.popleft()]
-        for cert in mutations(om):
-            child = cocircuits_from_chirotope(om.chirotope.with_basis_flipped(cert.basis))
+        for basis in itertools.combinations(range(om.n), om.rank):
+            if mutation_from_basis(om, basis) is None:
+                continue
+            child = cocircuits_from_chirotope(om.chirotope.with_basis_flipped(basis))
             key = canonical_form(child)
             neighbors.append(key)
             if key not in nodes:

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omforge.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_UNDETERMINED, run
 from omforge.core import MAX_ELEMENTS
@@ -205,6 +210,8 @@ def test_validate_reports_a_ccj_not_closed_under_negation(tmp_path, capsys):
     code, payload = run_json(capsys, ["validate", str(path)])
     assert code == EXIT_INVALID and not payload["ok"]
     assert {v["axiom"] for v in payload["violations"]} == {"C1"}
+    # witnesses are sign strings, as in every other command's output
+    assert ["++0"] in [v["witness"] for v in payload["violations"]]
 
 
 def test_validate_rejects_a_ccj_vector_of_the_wrong_length(tmp_path, capsys):
@@ -244,3 +251,70 @@ def test_malformed_reader_input_is_an_error(tmp_path, capsys, name, text):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     if name == "huge_header.chi":
         assert f"n <= {MAX_ELEMENTS}" in lines[0]
+
+
+# -- readers under fuzzed input ----------------------------------------------------
+
+_SMALL = st.integers(-1, 7)
+_JUNK = st.text(alphabet="+-0x1 .{}[]\",:", max_size=24)
+
+
+@st.composite
+def _chi_text(draw):
+    r, n = draw(_SMALL), draw(_SMALL)
+    if 1 <= r <= n and draw(st.booleans()):
+        size = math.comb(n, r)
+        body = draw(st.text(alphabet="+-0", min_size=size, max_size=size))
+    else:
+        body = draw(st.one_of(st.text(alphabet="+-0", max_size=40), _JUNK))
+    header = f"{r} {n}"
+    if draw(st.booleans()):
+        header = draw(st.sampled_from([f"{r}", f"{r} {n} {n}", f"{r} x", ""]))
+    return "in.chi", f"{header}\n{body}\n"
+
+
+@st.composite
+def _pts_text(draw):
+    r, n = draw(_SMALL), draw(_SMALL)
+    count = max(r * n, 0) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    coords = draw(st.lists(st.integers(-3, 3), min_size=max(count, 0), max_size=max(count, 0)))
+    tokens = [str(c) for c in coords]
+    if draw(st.booleans()):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(["x", "1.5", "+"])))
+    return "in.pts", f"{r} {n}\n" + " ".join(tokens) + "\n"
+
+
+@st.composite
+def _ccj_text(draw):
+    n, rank = draw(_SMALL), draw(_SMALL)
+    length = st.just(max(n, 0)) if draw(st.booleans()) else st.integers(0, 6)
+    vectors = draw(st.lists(
+        length.flatmap(lambda k: st.text(alphabet="+-0", min_size=k, max_size=k)),
+        max_size=8,
+    ))
+    if draw(st.booleans()):  # close the set under negation
+        neg = str.maketrans("+-", "-+")
+        vectors += [v.translate(neg) for v in vectors]
+    data = {"n": n, "rank": rank, "cocircuits": vectors}
+    if draw(st.booleans()):
+        del data[draw(st.sampled_from(sorted(data)))]
+    text = json.dumps(data)
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]  # cut short
+    return "in.ccj", text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_chi_text(), _pts_text(), _ccj_text()))
+def test_readers_never_raise_through_the_cli(tmp_path_factory, case):
+    name, text = case
+    path = tmp_path_factory.mktemp("fuzz") / name
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["cocircuits", str(path)])
+    assert code in (EXIT_OK, EXIT_IO, EXIT_INVALID)
+    if code != EXIT_OK:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

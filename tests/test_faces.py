@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omforge.classify import mutation_graph_bfs
-from omforge.core import (
-    InvalidChirotope,
-    OrientedMatroid,
-    cocircuits_from_chirotope,
-    flip_violations,
-    om_from_points,
-    validate_chirotope,
-)
+from omforge.core import cocircuits_from_chirotope, om_from_points, validate_chirotope
 from omforge.corpus import cyclic_om, non_euclidean_848, random_points, w3
 from omforge.faces import (
     adjacent_cocircuits,
@@ -23,6 +16,7 @@ from omforge.faces import (
     flip_basis,
     is_simplicial_tope,
     min_adjacent_mutations,
+    mutation_bases,
     mutation_from_basis,
     mutations,
     topes,
@@ -206,14 +200,13 @@ def test_cyclic_c48_shannon_tight():
     assert min_adjacent_mutations(om) == 4
 
 
-# -- incremental flip vs the full rebuild ----------------------------------------
+# -- sign-test flip vs the full rebuild -----------------------------------------
 
 def full_rebuild(om, cert):
     return cocircuits_from_chirotope(om.chirotope.with_basis_flipped(cert.basis))
 
 
 def assert_flips_match_full_rebuild(om):
-    assert om._from_valid_chirotope  # so flip takes the incremental route
     for cert in mutations(om):
         fast, full = flip(om, cert), full_rebuild(om, cert)
         assert fast.chirotope == full.chirotope
@@ -221,15 +214,13 @@ def assert_flips_match_full_rebuild(om):
 
 
 def test_local_check_equals_full_check_after_one_sign_change():
-    # from a valid parent, the relations through the changed basis decide
+    # from a valid parent, the sign test on the changed basis decides
     # validity; most single-basis changes here are not mutations
     rng = random.Random(15)
     for om in (cyclic_om(3, 8), cyclic_om(4, 8), om_from_points(random_points(rng, 4, 7))):
         for b in itertools.combinations(range(om.n), om.rank):
-            chi = om.chirotope.with_basis_flipped(b)
-            local = flip_violations(chi, mask_of(b))
-            full = validate_chirotope(chi).violations
-            assert set(local) == set(full)
+            full = validate_chirotope(om.chirotope.with_basis_flipped(b)).ok
+            assert om.chirotope.is_mutation(mask_of(b)) == full
 
 
 @pytest.mark.parametrize(
@@ -254,26 +245,36 @@ def test_incremental_flip_matches_full_rebuild_realizable(seed, shape):
     assert_flips_match_full_rebuild(flip(om, mutations(om)[0]))
 
 
-def test_unvalidated_parent_gets_full_check():
-    # parent: the cocircuits of cyclic(4,8), but a chirotope with a
-    # non-mutation basis d negated, so it fails Grassmann-Pluecker only in
-    # relations through d.  d shares one element with the flipped basis b,
-    # so no relation contains both and the local check would pass.
-    om = cyclic_om(4, 8)
-    cert = mutations(om)[0]
-    b = set(cert.basis)
-    d = next(
-        c for c in itertools.combinations(range(8), 4)
-        if len(b & set(c)) <= 1 and mutation_from_basis(om, c) is None
+# -- sign-test mutation bases vs the cocircuit route ------------------------------
+
+def assert_bases_match_cocircuit_route(om):
+    via_cocircuits = tuple(
+        b for b in itertools.combinations(range(om.n), om.rank)
+        if mutation_from_basis(om, b) is not None
     )
-    bad = om.chirotope.with_basis_flipped(d)
-    assert not validate_chirotope(bad).ok
-    parent = OrientedMatroid(8, 4, om.cocircuits, chirotope=bad)
-    child = bad.with_basis_flipped(cert.basis)
-    assert flip_violations(child, mask_of(cert.basis)) == ()
-    with pytest.raises(InvalidChirotope) as info:
-        flip(parent, cert)
-    assert info.value.violations
-    # a valid chirotope built the same way is flipped by the full rebuild
-    direct = OrientedMatroid(8, 4, om.cocircuits, chirotope=om.chirotope)
-    assert flip(direct, cert) == flip(om, cert)
+    assert mutation_bases(om) == via_cocircuits
+    assert tuple(cert.basis for cert in mutations(om)) == via_cocircuits
+
+
+@pytest.mark.parametrize(
+    "make_seed, classes",
+    [
+        (lambda: cyclic_om(3, 8), 135),
+        (lambda: cyclic_om(4, 8), 60),
+        (non_euclidean_848, 40),
+        (lambda: cyclic_om(5, 9), 30),
+    ],
+    ids=["closure38", "cyclic48", "non_euclidean_848", "cyclic59"],
+)
+def test_mutation_bases_match_cocircuit_route_on_bfs_classes(make_seed, classes):
+    graph = mutation_graph_bfs(make_seed(), max_nodes=classes)
+    assert len(graph.nodes) == classes
+    for node in graph.nodes.values():
+        assert_bases_match_cocircuit_route(node.om)
+
+
+def test_mutation_bases_match_cocircuit_route_realizable():
+    rng = random.Random(16)
+    for r, n in ((1, 4), (2, 6), (3, 3), (4, 5), (5, 7)):
+        for _ in range(3):
+            assert_bases_match_cocircuit_route(om_from_points(random_points(rng, r, n)))
