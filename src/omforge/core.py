@@ -481,10 +481,20 @@ class OrientedMatroid:
         self._rank_memo[mask] = rk
         return rk
 
+    def _uniform_chirotope(self) -> bool:
+        """Carries a uniform chirotope (its rank is >= 1): then no element
+        is a loop, and every element is a coloop iff r = n.  The
+        cocircuit route below is the oracle."""
+        return self.chirotope is not None and self.is_uniform()
+
     def loops(self) -> frozenset[int]:
+        if self._uniform_chirotope():
+            return frozenset()
         return frozenset(bits(self.closure_mask(0)))
 
     def coloops(self) -> frozenset[int]:
+        if self._uniform_chirotope():
+            return frozenset(range(self.n)) if self.rank == self.n else frozenset()
         full = self.full_mask
         return frozenset(
             e

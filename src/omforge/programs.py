@@ -5,16 +5,36 @@ conformal comodular pairs, and each edge carries the elimination at g;
 its f-sign directs the edge.  A program is Euclidean iff the strictly
 directed graph is acyclic.  Directed cycles traverse only strictly
 directed edges; direction-0 edges are never traversable.
+
+For a uniform oriented matroid of rank r >= 2 that carries a chirotope,
+`program_verdicts`, `all_programs_euclidean` and `has_euclidean_program`
+read the verdicts from the chirotope's signs, by pseudoline order; signs
+are read on ordered tuples with U sorted first.  Fix g and an
+(r-2)-subset U without g.  The vertices on the line U are the cocircuits
+X_a with zero set U+a, for a outside U+g; normalised to X_g = +, they
+are X_a(e) = chi(U,a,e) chi(U,a,g).  The elements of the rank-2
+contraction by U have a cyclic order, and the vertices on the line U
+are totally ordered as the half-turn of it that follows g.  Only
+consecutive vertices are conformal, so the edges on the line are the
+consecutive pairs.  The edge a -> b has direction
+eps * chi(U,g,f) with eps = chi(U,g,a) chi(U,b,a) chi(U,b,g), since
+Z = El(-X_a, X_b, g) has Z_a = X_b(a).  eps is constant along the line,
+so for f outside U each line is one directed path, and a line with f in
+U carries only direction-0 edges.  (g, f) is Euclidean iff the union of
+the paths is acyclic, which a Kahn sort decides.  `is_euclidean`, which
+returns directed-cycle witnesses, always builds the cocircuit graph; it
+is the oracle for the sign route and the route for every other input.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import OrientedMatroid
+from .core import Chirotope, OrientedMatroid
 from .faces import adjacent_cocircuits, topes
-from .signs import PLUS, SignVector
+from .signs import PLUS, SignVector, mask_of
 
 
 class EliminationError(ValueError):
@@ -319,23 +339,121 @@ def valid_programs(om: OrientedMatroid) -> list[tuple[int, int]]:
     ]
 
 
-def program_verdicts(om: OrientedMatroid) -> dict[tuple[int, int], bool]:
-    return {
-        (g, f): is_euclidean(Program(om, g, f)).euclidean
-        for g, f in valid_programs(om)
+def _pseudolines(chi: Chirotope) -> list[tuple[int, list[list[int]], list[int]]]:
+    """For each (r-2)-subset U, as a mask: the table t[x][y] = chi(U, x, y)
+    for x, y outside U (0 elsewhere), and the elements outside U in
+    pseudoline order, a half-turn of the rank-2 contraction by U."""
+    n, signs = chi.n, chi.signs
+    out = []
+    for u in itertools.combinations(range(n), chi.rank - 2):
+        um = mask_of(u)
+        rest = [x for x in range(n) if not um >> x & 1]
+        # the parity of moving x in front of the elements of U above it
+        par = [-1 if (um >> x + 1).bit_count() & 1 else 1 for x in range(n)]
+        t = [[0] * n for _ in range(n)]
+        for i, x in enumerate(rest):
+            tx = t[x]
+            for y in rest[i + 1:]:
+                s = par[x] * par[y] * signs[um | 1 << x | 1 << y]
+                tx[y] = s
+                t[y][x] = -s
+        # reorient every a to the side of the first element h, where
+        # chi(U, h, a) > 0; then a precedes b iff chi(U, a, b) > 0
+        h, others = rest[0], rest[1:]
+        side = t[h]
+        order = [h] + [0] * len(others)
+        for a in others:
+            ta, sa = t[a], side[a]
+            order[1 + sum(1 for b in others if sa * side[b] * ta[b] < 0)] = a
+        out.append((um, t, order))
+    return out
+
+
+def _paths_at(pseudolines, index: dict[int, int], g: int) -> list[tuple]:
+    """(U, chi(U, g, .), eps, arcs forwards, arcs backwards) for every
+    line U without g.  Its vertices, as `index` numbers of their zero
+    sets U+a, lie in the half-turn that follows g."""
+    out = []
+    for um, t, order in pseudolines:
+        if um >> g & 1:
+            continue
+        tg = t[g]
+        k = order.index(g)
+        path = order[k + 1:] + order[:k]
+        eps = tg[path[0]] * t[path[1]][path[0]] * t[path[1]][g]
+        ids = [index[um | 1 << a] for a in path]
+        fwd = list(zip(ids, ids[1:]))
+        out.append((um, tg, eps, fwd, [(j, i) for i, j in fwd]))
+    return out
+
+
+def _acyclic(size: int, verts: list[int], arc_lists) -> bool:
+    """Whether the arcs, pairs of vertex numbers below size, leave the
+    vertices verts acyclic: a Kahn sort reaches all of them."""
+    succ: list[list[int]] = [[] for _ in range(size)]
+    indeg = [0] * size
+    for arcs in arc_lists:
+        for i, j in arcs:
+            succ[i].append(j)
+            indeg[j] += 1
+    stack = [v for v in verts if not indeg[v]]
+    done = 0
+    while stack:
+        done += 1
+        for w in succ[stack.pop()]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                stack.append(w)
+    return done == len(verts)
+
+
+def _sign_verdicts(om: OrientedMatroid) -> Iterator[tuple[tuple[int, int], bool]]:
+    """Verdicts of a uniform oriented matroid of rank >= 2 with a
+    chirotope, in `valid_programs` order, read from the chirotope's signs
+    by the pseudoline rule in the module docstring."""
+    pseudolines = _pseudolines(om.chirotope)
+    # vertices are numbered by their zero sets, the (r-1)-subsets
+    index = {
+        mask_of(z): i
+        for i, z in enumerate(itertools.combinations(range(om.n), om.rank - 1))
     }
+    current = -1
+    for g, f in valid_programs(om):
+        if g != current:
+            current = g
+            paths = _paths_at(pseudolines, index, g)
+            verts = [v for z, v in index.items() if not z >> g & 1]
+        # a line with f in U carries only direction-0 edges
+        arcs = (
+            fwd if eps * tg[f] > 0 else bwd
+            for um, tg, eps, fwd, bwd in paths
+            if not um >> f & 1
+        )
+        yield (g, f), _acyclic(len(index), verts, arcs)
+
+
+def _verdicts(om: OrientedMatroid) -> Iterator[tuple[tuple[int, int], bool]]:
+    """((g, f), Euclidean?) over `valid_programs(om)`: from the signs for a
+    uniform oriented matroid of rank >= 2 with a chirotope, else from the
+    cocircuit graph (`is_euclidean`)."""
+    if om.rank >= 2 and om._uniform_chirotope():
+        return _sign_verdicts(om)
+    return (
+        ((g, f), is_euclidean(Program(om, g, f)).euclidean)
+        for g, f in valid_programs(om)
+    )
+
+
+def program_verdicts(om: OrientedMatroid) -> dict[tuple[int, int], bool]:
+    return dict(_verdicts(om))
 
 
 def all_programs_euclidean(om: OrientedMatroid) -> bool:
-    return all(
-        is_euclidean(Program(om, g, f)).euclidean for g, f in valid_programs(om)
-    )
+    return all(ok for _, ok in _verdicts(om))
 
 
 def has_euclidean_program(om: OrientedMatroid) -> bool:
-    return any(
-        is_euclidean(Program(om, g, f)).euclidean for g, f in valid_programs(om)
-    )
+    return any(ok for _, ok in _verdicts(om))
 
 
 def is_totally_non_euclidean(om: OrientedMatroid) -> bool:

@@ -178,6 +178,17 @@ def test_rank3_n8_closure_matches_full_rebuild():
     assert list(mine.items()) == list(reference_bfs(seed).items())
 
 
+def test_rank5_n8_closure_is_dual_to_rank3_n8():
+    # duality maps uniform rank-5 classes on 8 elements one to one onto
+    # the 135 rank-3 classes
+    rank5 = mutation_graph_bfs(cyclic_om(5, 8))
+    rank3 = mutation_graph_bfs(cyclic_om(3, 8))
+    assert not rank5.exhausted_budget and not rank3.exhausted_budget
+    assert len(rank5.nodes) == len(rank3.nodes) == 135
+    duals = {canonical_form(node.om.dual()) for node in rank5.nodes.values()}
+    assert duals == set(rank3.nodes)
+
+
 def test_mutation_graph_above_nine_elements():
     # keys are exact at every n: the two-flip ball around cyclic_om(3,10)
     # holds 7 classes, the keys of every labelled member within two flips

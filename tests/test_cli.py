@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from omforge.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, EXIT_UNDETERMINED, run
 from omforge.core import MAX_ELEMENTS
-from omforge.corpus import cyclic_om, cyclic_points, w3
-from omforge.fileio import write_chi, write_pts
+from omforge.corpus import cyclic_om, cyclic_points, non_euclidean_848, w3
+from omforge.fileio import write_ccj, write_chi, write_pts
 
 
 @pytest.fixture()
@@ -53,6 +53,31 @@ def test_euclidean_all(c48_pts, capsys):
     assert payload["euclidean_all_programs"] is True
     assert payload["totally_non_euclidean"] is False
     assert len(payload["verdicts"]) == 56
+
+
+@pytest.mark.parametrize(
+    "text, count", [("3 3\n+\n", 0), ("1 4\n+-++\n", 12)], ids=["r=n", "rank1"]
+)
+def test_euclidean_all_edge_shapes(tmp_path, capsys, text, count):
+    # r = n makes every element a coloop, so there is no program; in
+    # rank 1 every program is Euclidean
+    path = tmp_path / "edge.chi"
+    path.write_text(text)
+    code, payload = run_json(capsys, ["euclidean-all", str(path)])
+    assert code == EXIT_OK
+    assert len(payload["verdicts"]) == count
+    assert all(v["euclidean"] for v in payload["verdicts"])
+
+
+def test_euclidean_all_chi_matches_ccj(tmp_path, capsys):
+    # a .chi takes the sign route, its .ccj the cocircuit graph
+    om = non_euclidean_848()
+    write_chi(tmp_path / "ne.chi", om.chirotope)
+    write_ccj(tmp_path / "ne.ccj", om)
+    _, from_chi = run_json(capsys, ["euclidean-all", str(tmp_path / "ne.chi")])
+    _, from_ccj = run_json(capsys, ["euclidean-all", str(tmp_path / "ne.ccj")])
+    assert from_chi == from_ccj
+    assert from_chi["euclidean_all_programs"] is False
 
 
 def test_mutations_b(c48_pts, capsys):

@@ -214,6 +214,21 @@ def test_subset_rank():
     assert s.subset_rank(range(6)) == 4
 
 
+def test_loops_and_coloops_from_chirotope_match_cocircuit_route():
+    rng = random.Random(19)
+    for r, n in ((1, 4), (3, 3), (4, 5), (5, 7)):
+        for _ in range(3):
+            om = om_from_points(random_points(rng, r, n))
+            copy = OrientedMatroid(om.n, om.rank, om.cocircuits)
+            assert om.loops() == copy.loops() == frozenset()
+            assert om.coloops() == copy.coloops()
+            assert om.coloops() == (frozenset(range(n)) if r == n else frozenset())
+    # a uniform chirotope answers without deriving its cocircuits
+    om = cocircuits_from_chirotope(cyclic_om(4, 8).chirotope)
+    assert om.loops() == om.coloops() == frozenset()
+    assert om._cocircuits is None
+
+
 # -- dual --------------------------------------------------------------------
 
 def test_dual_involution_and_w3():

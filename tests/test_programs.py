@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from omforge.core import om_from_points
-from omforge.corpus import cyclic_om, random_points, w3
+from omforge.classify import mutation_graph_bfs
+from omforge.core import OrientedMatroid, om_from_points
+from omforge.corpus import cyclic_om, non_euclidean_848, random_points, w3
 from omforge.faces import mutations
 from omforge.programs import (
     DirectedCycleWitness,
@@ -16,6 +17,7 @@ from omforge.programs import (
     edge_direction,
     eliminate,
     find_chords,
+    has_euclidean_program,
     is_euclidean,
     is_totally_non_euclidean,
     program_verdicts,
@@ -241,3 +243,64 @@ def test_euclidean_verdicts_empty_report():
     p = Program(cyclic_om(3, 6), 0, 1)
     verdict = is_euclidean(p)
     assert verdict.euclidean and verdict.witness is None
+
+
+# -- sign-route verdicts vs the cocircuit graph ----------------------------------
+
+def assert_verdicts_match_cocircuit_graph(om):
+    """The public verdict functions agree with the same functions on a
+    cocircuit-only copy, which has no chirotope and takes the graph route."""
+    copy = OrientedMatroid(om.n, om.rank, om.cocircuits)
+    verdicts = program_verdicts(om)
+    assert verdicts == program_verdicts(copy)
+    assert list(verdicts) == valid_programs(copy)
+    assert all_programs_euclidean(om) == all_programs_euclidean(copy)
+    assert has_euclidean_program(om) == has_euclidean_program(copy)
+    return verdicts
+
+
+@pytest.mark.parametrize(
+    "make_seed, classes",
+    [
+        (lambda: cyclic_om(3, 8), 135),
+        (lambda: cyclic_om(4, 8), 60),
+        (non_euclidean_848, 40),
+        (lambda: cyclic_om(5, 9), 30),
+    ],
+    ids=["closure38", "cyclic48", "non_euclidean_848", "cyclic59"],
+)
+def test_sign_verdicts_match_cocircuit_graph_on_bfs_classes(make_seed, classes):
+    graph = mutation_graph_bfs(make_seed(), max_nodes=classes)
+    assert len(graph.nodes) == classes
+    non_euclidean = 0
+    for node in graph.nodes.values():
+        verdicts = assert_verdicts_match_cocircuit_graph(node.om)
+        non_euclidean += not all(verdicts.values())
+    if make_seed is non_euclidean_848:
+        assert non_euclidean > 0
+
+
+def test_sign_verdicts_match_cocircuit_graph_realizable():
+    rng = random.Random(17)
+    for r, n in ((1, 4), (2, 6), (3, 3), (4, 5), (5, 7)):
+        for _ in range(3):
+            om = om_from_points(random_points(rng, r, n))
+            verdicts = assert_verdicts_match_cocircuit_graph(om)
+            assert all(verdicts.values())
+            assert len(verdicts) == (0 if r == n else n * (n - 1))
+
+
+def test_euclidean_campaign_classes_derive_no_cocircuits():
+    # verdicts and loops/coloops of uniform classes read the chirotope,
+    # so a campaign-style search builds neither cocircuits nor graphs
+    verdicts = []
+    graph = mutation_graph_bfs(
+        cyclic_om(4, 8),
+        max_nodes=30,
+        node_hook=lambda node: verdicts.append(all_programs_euclidean(node.om)),
+    )
+    assert len(graph.nodes) == len(verdicts) == 30
+    assert all(verdicts)
+    for node in graph.nodes.values():
+        assert node.om._cocircuits is None
+        assert not node.om._graph_cache
