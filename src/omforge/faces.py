@@ -1,10 +1,24 @@
 """Topes, simplicial topes / mutations, and mutation flips.
 
-A tope is a maximal covector; it is simplicial iff it has exactly rank
-adjacent cocircuits, iff some basis has pairwise-conformal base
-cocircuits after sign normalization.  Mutations are identified with
-bases; a certificate carries the normalized base cocircuits and their
-composition (one tope of the antipodal pair).
+A tope is a maximal covector: its support is every non-loop.  Topes
+are found by a walk on the tope graph, one wall test at a time.  Let T
+be a tope and P a parallel class of non-loops.  T with P flipped is a
+tope iff the cocircuits that vanish on P and conform to T cover every
+non-loop outside P.  This is exact: every covector is the conformal
+composition of the cocircuits below it, so the test holds iff "T with
+P set to 0" is a covector V, and then V composed with -T is the
+flipped tope.  Conversely, eliminating an element of P between T and
+the flipped tope gives a covector that agrees with T outside P and
+vanishes on P, since the zero set of a covector is a flat.  The tope
+graph of the simplification is connected, so the walk from any tope
+reaches them all.  The same test at the whole support decides whether
+a sign vector is a tope.
+
+A tope is simplicial iff it has exactly rank adjacent cocircuits, iff
+some basis has pairwise-conformal base cocircuits after sign
+normalization.  Mutations are identified with bases; a certificate
+carries the normalized base cocircuits and their composition (one tope
+of the antipodal pair).
 
 For a uniform oriented matroid with a chirotope, the chirotope is
 authoritative: its mutation bases come from the sign test
@@ -24,29 +38,57 @@ from .core import OrientedMatroid
 from .signs import SignVector, mask_of
 
 
+def _cover(cocircuits, pm: int, mm: int) -> int:
+    """Union of the supports of the (plus, minus) mask pairs conformal
+    to the sign vector with plus mask pm and minus mask mm."""
+    cover = 0
+    for xp, xm in cocircuits:
+        if not (xp & mm or xm & pm):
+            cover |= xp | xm
+    return cover
+
+
 def topes(om: OrientedMatroid) -> frozenset[SignVector]:
-    """All maximal covectors, by closure of cocircuits under composition."""
+    """All maximal covectors, by a depth-first walk on the tope graph.
+
+    The walk starts from the composition of every cocircuit and moves
+    across one wall at a time: from T it flips one parallel class P of
+    non-loops when the cocircuits that vanish on P and conform to T
+    cover every non-loop outside P.  The test holds iff T with P set to
+    0 is a covector (the composition of the cocircuits below it), and
+    that covector composed with -T is the flipped tope; elimination
+    gives the converse, and the tope graph of the simplification is
+    connected.  Topes are kept as plus masks; the minus mask is the
+    rest of the non-loops.  A rank-0 oriented matroid has one tope, the
+    zero vector.
+    """
     if om._tope_cache is not None:
         return om._tope_cache
-    cocircuits = om.sorted_cocircuits()
     nonloop = om.full_mask & ~om.closure_mask(0)
-    frontier = set(cocircuits)
-    seen = set(frontier)
-    full = []
-    while frontier:
-        nxt = set()
-        for v in frontier:
-            if v.support_mask & nonloop == nonloop:
-                full.append(v)
-                continue
-            for x in cocircuits:
-                if x.support_mask & ~v.support_mask:
-                    w = v.compose(x)
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.add(w)
-        frontier = nxt
-    om._tope_cache = frozenset(full)
+    cocircuits = [(x.pm, x.mm) for x in om.sorted_cocircuits()]
+    start = minus = 0
+    for xp, xm in cocircuits:
+        free = ~(start | minus)
+        start |= xp & free
+        minus |= xm & free
+    walls = []
+    rest = nonloop
+    while rest:
+        p = om.closure_mask(rest & -rest) & nonloop
+        below = [(xp, xm) for xp, xm in cocircuits if not (xp | xm) & p]
+        walls.append((p, nonloop & ~p, below))
+        rest &= ~p
+    seen = {start}
+    stack = [start]
+    while stack:
+        pm = stack.pop()
+        mm = nonloop & ~pm
+        for p, outside, below in walls:
+            flipped = pm ^ p
+            if flipped not in seen and _cover(below, pm, mm) == outside:
+                seen.add(flipped)
+                stack.append(flipped)
+    om._tope_cache = frozenset(SignVector(om.n, pm, nonloop & ~pm) for pm in seen)
     return om._tope_cache
 
 
@@ -56,7 +98,13 @@ def adjacent_cocircuits(om: OrientedMatroid, tope: SignVector) -> frozenset[Sign
 
 
 def is_tope(om: OrientedMatroid, vec: SignVector) -> bool:
-    return vec in topes(om)
+    """The wall test at the whole support: a tope is supported on exactly
+    the non-loops, and the cocircuits conformal to it cover them."""
+    nonloop = om.full_mask & ~om.closure_mask(0)
+    if vec.n != om.n or vec.support_mask != nonloop:
+        return False
+    pairs = ((x.pm, x.mm) for x in om.sorted_cocircuits())
+    return _cover(pairs, vec.pm, vec.mm) == nonloop
 
 
 def is_simplicial_tope(om: OrientedMatroid, tope: SignVector) -> bool:

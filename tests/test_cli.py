@@ -80,6 +80,24 @@ def test_euclidean_all_chi_matches_ccj(tmp_path, capsys):
     assert from_chi["euclidean_all_programs"] is False
 
 
+def test_topes_chi_matches_ccj(tmp_path, capsys):
+    om = non_euclidean_848()
+    write_chi(tmp_path / "ne.chi", om.chirotope)
+    write_ccj(tmp_path / "ne.ccj", om)
+    _, from_chi = run_json(capsys, ["topes", str(tmp_path / "ne.chi")])
+    _, from_ccj = run_json(capsys, ["topes", str(tmp_path / "ne.ccj")])
+    assert from_chi == from_ccj
+    assert from_chi["count"] == 128
+
+
+def test_topes_of_rank0_is_the_zero_vector(tmp_path, capsys):
+    path = tmp_path / "r0.ccj"
+    path.write_text(json.dumps({"n": 3, "rank": 0, "cocircuits": []}))
+    code, payload = run_json(capsys, ["topes", str(path)])
+    assert code == EXIT_OK
+    assert payload["count"] == 1 and payload["topes"] == ["000"]
+
+
 def test_mutations_b(c48_pts, capsys):
     code, payload = run_json(capsys, ["mutations", c48_pts])
     assert code == EXIT_OK

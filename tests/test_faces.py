@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -6,8 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omforge.classify import mutation_graph_bfs
-from omforge.core import cocircuits_from_chirotope, om_from_points, validate_chirotope
+from omforge.core import (
+    OrientedMatroid,
+    cocircuits_from_chirotope,
+    om_from_points,
+    validate_chirotope,
+)
 from omforge.corpus import cyclic_om, non_euclidean_848, random_points, w3
+from omforge.extensions import LexExtensionSpec, destruction_check, lex_extend
 from omforge.faces import (
     adjacent_cocircuits,
     adjacent_mutation_count,
@@ -15,6 +22,7 @@ from omforge.faces import (
     flip,
     flip_basis,
     is_simplicial_tope,
+    is_tope,
     min_adjacent_mutations,
     mutation_bases,
     mutation_from_basis,
@@ -278,3 +286,151 @@ def test_mutation_bases_match_cocircuit_route_realizable():
     for r, n in ((1, 4), (2, 6), (3, 3), (4, 5), (5, 7)):
         for _ in range(3):
             assert_bases_match_cocircuit_route(om_from_points(random_points(rng, r, n)))
+
+
+# -- the tope walk vs closing the covectors under composition -------------------
+
+def closure_topes(om):
+    """Slow reference: every covector built by composing each frontier
+    vector with each cocircuit; the topes are those on every non-loop."""
+    cocircuits = om.sorted_cocircuits()
+    nonloop = om.full_mask & ~om.closure_mask(0)
+    frontier = set(cocircuits)
+    seen = set(frontier)
+    full = []
+    while frontier:
+        nxt = set()
+        for v in frontier:
+            if v.support_mask & nonloop == nonloop:
+                full.append(v)
+                continue
+            for x in cocircuits:
+                if x.support_mask & ~v.support_mask:
+                    w = v.compose(x)
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.add(w)
+        frontier = nxt
+    return frozenset(full)
+
+
+def uniform_tope_count(r, n):
+    return 2 * sum(math.comb(n - 1, i) for i in range(r))
+
+
+def parallel_and_loop_columns():
+    # 1 and 2 parallel to 0, 3 antiparallel, 4 a loop, 7 antiparallel to 6
+    return om_from_points(
+        [[1, 0, 1], [2, 0, 2], [3, 0, 3], [-1, 0, -1], [0, 0, 0],
+         [0, 1, 0], [1, 1, 3], [-1, -1, -3], [2, -1, 1]]
+    )
+
+
+def relabelled_848():
+    rng = random.Random(17)
+    perm = list(range(8))
+    rng.shuffle(perm)
+    om = cocircuits_from_chirotope(non_euclidean_848().chirotope.relabel(perm))
+    return om.reorient([e for e in range(8) if rng.random() < 0.5])
+
+
+def destruction_extension_c48():
+    # the lexicographic extension whose topes `destruction_check` walks
+    om = cyclic_om(4, 8)
+    cert = mutations(om)[0]
+    return destruction_check(om, cert, cert.basis[0], 5).extension
+
+
+def short_lex_extension_c48():
+    # a spec shorter than the rank: the new element is not in general
+    # position, so the extension is not uniform
+    ext = lex_extend(cyclic_om(4, 8), LexExtensionSpec(((2, 1), (5, -1), (0, 1))))
+    assert not ext.is_uniform()
+    return ext
+
+
+def rank1_with_loop():
+    return om_from_points([[3], [-2], [0], [5], [-1]])
+
+
+@pytest.mark.parametrize(
+    "make_om",
+    [
+        rank1_with_loop,
+        lambda: cyclic_om(1, 3),
+        lambda: cyclic_om(3, 3),
+        lambda: om_from_points(random_points(random.Random(18), 4, 4)),
+        parallel_and_loop_columns,
+        lambda: w3().direct_sum(w3()),
+        lambda: cyclic_om(4, 8).minor(delete=[1], contract=[6]),
+        destruction_extension_c48,
+        short_lex_extension_c48,
+        relabelled_848,
+    ],
+    ids=[
+        "rank1-loop", "rank1", "r=n", "r=n-random", "parallel-loop",
+        "w3+w3", "c48-minor", "c48-destruction-extension",
+        "c48-short-lex-extension", "848-relabelled",
+    ],
+)
+def test_tope_walk_matches_closure(make_om):
+    om = make_om()
+    assert topes(om) == closure_topes(om)
+
+
+def test_tope_walk_matches_closure_on_bfs_classes():
+    graph = mutation_graph_bfs(cyclic_om(4, 8), max_nodes=40)
+    assert len(graph.nodes) == 40
+    for node in graph.nodes.values():
+        assert topes(node.om) == closure_topes(node.om)
+
+
+def test_tope_walk_matches_closure_realizable():
+    rng = random.Random(19)
+    for r, n in ((3, 7), (3, 9), (4, 8), (5, 8)):
+        # generic, then with coordinates in {-1, 0, 1}: non-uniform, and
+        # at (3, 9) with loops and parallel elements
+        for span, uniform in ((9, True), (1, False)):
+            om = om_from_points(random_points(rng, r, n, span=span, uniform=uniform))
+            assert topes(om) == closure_topes(om)
+
+
+def test_rank0_has_the_zero_tope():
+    om = OrientedMatroid(3, 0, ())
+    assert topes(om) == {sv("000")}
+    assert is_tope(om, sv("000"))
+    assert is_simplicial_tope(om, sv("000"))
+
+
+@pytest.mark.parametrize(
+    "make_om",
+    [
+        lambda: cyclic_om(3, 5),
+        lambda: cyclic_om(4, 6),
+        lambda: cyclic_om(1, 3),
+        lambda: cyclic_om(2, 4).direct_sum(cyclic_om(1, 2)),
+        parallel_and_loop_columns,
+    ],
+    ids=["c35", "c46", "c13", "c24+c12", "parallel-loop"],
+)
+def test_is_tope_agrees_with_topes_on_every_sign_vector(make_om):
+    om = make_om()
+    ts = topes(om)
+    for signs in itertools.product((1, 0, -1), repeat=om.n):
+        vec = SignVector.from_signs(signs)
+        assert is_tope(om, vec) == (vec in ts)
+    assert not is_tope(om, SignVector.zero(om.n + 1))
+
+
+def test_uniform_tope_count_realizable():
+    rng = random.Random(20)
+    for r, n in ((1, 4), (2, 6), (3, 7), (3, 9), (4, 8), (5, 8), (5, 9)):
+        om = om_from_points(random_points(rng, r, n))
+        assert len(topes(om)) == uniform_tope_count(r, n)
+
+
+def test_uniform_tope_count_on_non_realizable_classes():
+    graph = mutation_graph_bfs(non_euclidean_848(), max_nodes=30)
+    assert len(graph.nodes) == 30
+    for node in graph.nodes.values():
+        assert len(topes(node.om)) == uniform_tope_count(4, 8)
