@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from functools import lru_cache
 
 from .core import Chirotope, OrientedMatroid, signed_mask
@@ -39,7 +38,8 @@ from .signs import MINUS, PLUS
 
 @lru_cache(maxsize=None)
 def _tables(n: int, r: int):
-    """Per-level colex blocks of (r-1)-subsets, and string offsets."""
+    """Per-level colex blocks of (r-1)-subsets, string offsets, and the
+    colex index of each r-subset in lex order (the output order)."""
     blocks = []
     for k in range(n):
         subs = sorted(
@@ -47,7 +47,10 @@ def _tables(n: int, r: int):
         )
         blocks.append(tuple(subs))
     offsets = [math.comb(k, r) for k in range(n + 1)]
-    return tuple(blocks), tuple(offsets)
+    lex_to_colex = tuple(
+        _colex_index(b) for b in itertools.combinations(range(n), r)
+    )
+    return tuple(blocks), tuple(offsets), lex_to_colex
 
 
 def _ranks(values: list) -> list:
@@ -69,25 +72,38 @@ def _element_invariants(om: OrientedMatroid) -> list:
     the sorted colours of the mutation's other elements.  Colours are
     ranks of label-free values, so isomorphic inputs get the same
     colours on corresponding elements.
+
+    The counts come from integer tables filled in one pass over the
+    bases: pair[e*n + a] counts the mutations through {e, a}, and
+    triple[e][a*n + b] (a < b) those through {e, a, b}.  They hold the
+    same numbers as counting by sorted tuples, so the start tuples, and
+    with them the colours, are the same.
     """
     from .faces import mutation_bases
 
     n = om.n
-    bases = mutation_bases(om)
-    holding = [[b for b in bases if e in b] for e in range(n)]
-    pair = Counter(p for b in bases for p in itertools.combinations(b, 2))
-    triple = Counter(t for b in bases for t in itertools.combinations(b, 3))
+    holding: list = [[] for _ in range(n)]
+    pair = [0] * (n * n)
+    triple = [[0] * (n * n) for _ in range(n)]
+    for basis in mutation_bases(om):
+        for e in basis:
+            holding[e].append(basis)
+        for a, b in itertools.combinations(basis, 2):
+            pair[a * n + b] += 1
+            pair[b * n + a] += 1
+        for a, b, c in itertools.combinations(basis, 3):
+            triple[a][b * n + c] += 1
+            triple[b][a * n + c] += 1
+            triple[c][a * n + b] += 1
 
     def start(e):
         others = [x for x in range(n) if x != e]
+        row = triple[e]
         return (
             len(holding[e]),
-            tuple(sorted(pair[tuple(sorted((e, a)))] for a in others)),
+            tuple(sorted(pair[e * n + a] for a in others)),
             tuple(
-                sorted(
-                    triple[tuple(sorted((e, a, b)))]
-                    for a, b in itertools.combinations(others, 2)
-                )
+                sorted(row[a * n + b] for a, b in itertools.combinations(others, 2))
             ),
         )
 
@@ -136,7 +152,7 @@ def canonical_key(chi: Chirotope, invariants=None) -> str:
     inv = invariants
     required = sorted(inv)
     values = chi.signs
-    blocks, offsets = _tables(n, r)
+    blocks, offsets, lex_to_colex = _tables(n, r)
     total = math.comb(n, r)
     best = [2] * total  # 0 '+', 1 '-', 2 undecided sentinel
     dirty = False  # best changed since the last leaf
@@ -326,10 +342,7 @@ def canonical_key(chi: Chirotope, invariants=None) -> str:
         descend(0, [], 0, [], g)
         if r % 2 == 1:
             break  # odd rank: -chi is the all-element reorientation of chi
-    out = []
-    for b in itertools.combinations(range(n), r):
-        out.append("+" if best[_colex_index(b)] == 0 else "-")
-    return "".join(out)
+    return "".join("+" if best[i] == 0 else "-" for i in lex_to_colex)
 
 
 def _orbits(gens, fixed, n: int) -> list:

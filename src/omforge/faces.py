@@ -26,6 +26,13 @@ authoritative: its mutation bases come from the sign test
 child's cocircuits only when something asks for them.  The cocircuit
 route (`mutation_from_basis` over every basis) is the oracle, and the
 route for oriented matroids given by cocircuits alone.
+
+A flip inherits the mutation bases of its parent when they are known.
+The sign test at a basis B' reads only the signs of the bases that
+share r-1 elements with B', and a flip at B changes the sign of B
+alone.  So the verdict can change only on the r(n-r) bases next to B,
+which the child tests again; every other basis, B included, keeps the
+parent's verdict.  The full sign test over every basis is the oracle.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import OrientedMatroid
-from .signs import SignVector, mask_of
+from .signs import SignVector, bits, mask_of
 
 
 def _cover(cocircuits, pm: int, mm: int) -> int:
@@ -250,16 +257,19 @@ def adjacent_mutation_count(om: OrientedMatroid, e: int) -> int:
 
 
 def min_adjacent_mutations(om: OrientedMatroid) -> int:
-    """L statistic: minimum adjacency count over non-loop, non-coloop elements."""
+    """L statistic: minimum adjacency count over non-loop, non-coloop
+    elements, counted in one pass over the mutation bases."""
     loops, coloops = om.loops(), om.coloops()
-    counts = [
-        adjacent_mutation_count(om, e)
-        for e in range(om.n)
-        if e not in loops and e not in coloops
+    counts = [0] * om.n
+    for b in mutation_bases(om):
+        for e in b:
+            counts[e] += 1
+    eligible = [
+        c for e, c in enumerate(counts) if e not in loops and e not in coloops
     ]
-    if not counts:
+    if not eligible:
         raise ValueError("no eligible elements")
-    return min(counts)
+    return min(eligible)
 
 
 def flip(om: OrientedMatroid, cert: MutationCertificate) -> OrientedMatroid:
@@ -277,6 +287,12 @@ def flip_basis(om: OrientedMatroid, basis: Iterable[int]) -> OrientedMatroid:
     the flipped chirotope is valid without a check; the child derives
     its cocircuits on first use.  `cocircuits_from_chirotope` of the
     flipped chirotope is the oracle this is tested against.
+
+    When om's mutation bases are cached, the child's are inherited: the
+    sign test at a basis reads only the bases next to it, so only the
+    r(n-r) bases sharing r-1 elements with this one are tested again
+    (r(n-r) sign tests in place of C(n,r)).  The others, this basis
+    included, keep om's verdict.
     """
     chi = om.chirotope
     if chi is None or not om.is_uniform():
@@ -284,6 +300,26 @@ def flip_basis(om: OrientedMatroid, basis: Iterable[int]) -> OrientedMatroid:
     b = tuple(sorted(set(basis)))
     if len(b) != om.rank or not all(0 <= e < om.n for e in b):
         raise ValueError(f"{b} is not a basis")
-    if not chi.is_mutation(mask_of(b)):
+    m = mask_of(b)
+    if not chi.is_mutation(m):
         raise ValueError(f"{b} is not a mutation basis")
-    return OrientedMatroid._from_chirotope(chi.with_basis_flipped(b))
+    child = OrientedMatroid._from_chirotope(chi.with_basis_flipped(b))
+    if om._mutation_bases is not None:
+        child._mutation_bases = _inherited_bases(om._mutation_bases, child.chirotope, m)
+    return child
+
+
+def _inherited_bases(parent_bases, chi, m: int) -> tuple[tuple[int, ...], ...]:
+    """The mutation bases of chi, the flip at basis mask m of a chirotope
+    whose mutation bases are parent_bases: the sign test re-run on the
+    bases next to m, every other verdict read from the parent."""
+    near = chi.rank - 1
+    out = [b for b in parent_bases if (mask_of(b) & m).bit_count() != near]
+    outside = [s for s in range(chi.n) if not m >> s & 1]
+    for p in bits(m):
+        for s in outside:
+            nm = m ^ (1 << p | 1 << s)
+            if chi.is_mutation(nm):
+                out.append(tuple(bits(nm)))
+    out.sort()
+    return tuple(out)

@@ -48,6 +48,16 @@ def test_criterion_08_eight_point(ctx):
     _check(CRITERIA[8](ctx))
 
 
+def test_eight_point_campaign_counts(ctx):
+    # the campaign's exact answers, from the run the criteria share
+    ctx.ensure_campaign()
+    stats = ctx.campaign_stats
+    assert stats["closure"]
+    assert stats["classes"] == 2628
+    assert stats["non_euclidean"] == 18
+    assert len(ctx.witnesses) == 18
+
+
 def test_criterion_09_cycle_structure(ctx):
     _check(CRITERIA[9](ctx))
 

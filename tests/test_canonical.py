@@ -1,10 +1,18 @@
 import itertools
 import math
 import random
+from collections import Counter
+
+import pytest
 
 from omforge.canonical import _colex_index, _element_invariants, canonical_form, canonical_key
 from omforge.core import Chirotope, cocircuits_from_chirotope, om_from_points
-from omforge.corpus import cyclic_om, non_euclidean_848, random_points
+from omforge.corpus import (
+    NON_EUCLIDEAN_848_CHI,
+    cyclic_om,
+    non_euclidean_848,
+    random_points,
+)
 
 
 def orbit_copy(chi, rng):
@@ -259,3 +267,92 @@ def test_recorded_maps_are_automorphisms_up_to_reorientation(monkeypatch):
         assert maps
         for sigma in maps:
             assert preserved(om.chirotope, sigma), sigma
+
+
+def counter_element_invariants(om):
+    """Reference: the colours with the pair and triple counts kept in
+    Counters keyed by sorted tuples, as the key was first defined."""
+    from omforge.canonical import _ranks
+    from omforge.faces import mutation_bases
+
+    n = om.n
+    bases = mutation_bases(om)
+    holding = [[b for b in bases if e in b] for e in range(n)]
+    pair = Counter(p for b in bases for p in itertools.combinations(b, 2))
+    triple = Counter(t for b in bases for t in itertools.combinations(b, 3))
+
+    def start(e):
+        others = [x for x in range(n) if x != e]
+        return (
+            len(holding[e]),
+            tuple(sorted(pair[tuple(sorted((e, a)))] for a in others)),
+            tuple(
+                sorted(
+                    triple[tuple(sorted((e, a, b)))]
+                    for a, b in itertools.combinations(others, 2)
+                )
+            ),
+        )
+
+    colours = _ranks([start(e) for e in range(n)])
+    while True:
+        refined = _ranks(
+            [
+                (
+                    colours[e],
+                    tuple(
+                        sorted(
+                            tuple(sorted(colours[x] for x in basis if x != e))
+                            for basis in holding[e]
+                        )
+                    ),
+                )
+                for e in range(n)
+            ]
+        )
+        if len(set(refined)) == len(set(colours)):
+            return colours
+        colours = refined
+
+
+@pytest.mark.parametrize(
+    "make_seed, classes",
+    [
+        (lambda: cyclic_om(3, 8), 135),
+        (lambda: cyclic_om(4, 8), 60),
+        (non_euclidean_848, 40),
+        (lambda: cyclic_om(5, 9), 30),
+    ],
+    ids=["closure38", "cyclic48", "non_euclidean_848", "cyclic59"],
+)
+def test_table_colours_match_counter_colours_on_bfs_classes(make_seed, classes):
+    from omforge.classify import mutation_graph_bfs
+
+    graph = mutation_graph_bfs(make_seed(), max_nodes=classes)
+    assert len(graph.nodes) == classes
+    for node in graph.nodes.values():
+        assert _element_invariants(node.om) == counter_element_invariants(node.om)
+
+
+def test_table_colours_match_counter_colours_on_small_ranks():
+    rng = random.Random(66)
+    for r, n in ((1, 4), (2, 6), (3, 5), (4, 7)):
+        om = om_from_points(random_points(rng, r, n))
+        assert _element_invariants(om) == counter_element_invariants(om)
+
+
+# Keys as the search defines them; a change to the key definition has to
+# change these strings on purpose.
+PINNED_KEYS = [
+    (lambda: cyclic_om(4, 8), "+" * 70),
+    (lambda: cyclic_om(3, 8), "+" * 56),
+    (
+        lambda: cocircuits_from_chirotope(Chirotope.from_string(4, 8, NON_EUCLIDEAN_848_CHI)),
+        "+++++++++++++--+++-++-+--++-+--+--+++++++++++++++++-+++++++++-+++-++++",
+    ),
+]
+
+
+@pytest.mark.parametrize("make_om, key", PINNED_KEYS, ids=["cyclic48", "cyclic38", "ne848"])
+def test_pinned_keys(make_om, key):
+    assert canonical_form(make_om()) == key

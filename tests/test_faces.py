@@ -253,6 +253,19 @@ def test_incremental_flip_matches_full_rebuild_realizable(seed, shape):
     assert_flips_match_full_rebuild(flip(om, mutations(om)[0]))
 
 
+# BFS seeds and class budgets whose classes the fast routes are checked on
+BFS_CLASSES = pytest.mark.parametrize(
+    "make_seed, classes",
+    [
+        (lambda: cyclic_om(3, 8), 135),
+        (lambda: cyclic_om(4, 8), 60),
+        (non_euclidean_848, 40),
+        (lambda: cyclic_om(5, 9), 30),
+    ],
+    ids=["closure38", "cyclic48", "non_euclidean_848", "cyclic59"],
+)
+
+
 # -- sign-test mutation bases vs the cocircuit route ------------------------------
 
 def assert_bases_match_cocircuit_route(om):
@@ -264,16 +277,7 @@ def assert_bases_match_cocircuit_route(om):
     assert tuple(cert.basis for cert in mutations(om)) == via_cocircuits
 
 
-@pytest.mark.parametrize(
-    "make_seed, classes",
-    [
-        (lambda: cyclic_om(3, 8), 135),
-        (lambda: cyclic_om(4, 8), 60),
-        (non_euclidean_848, 40),
-        (lambda: cyclic_om(5, 9), 30),
-    ],
-    ids=["closure38", "cyclic48", "non_euclidean_848", "cyclic59"],
-)
+@BFS_CLASSES
 def test_mutation_bases_match_cocircuit_route_on_bfs_classes(make_seed, classes):
     graph = mutation_graph_bfs(make_seed(), max_nodes=classes)
     assert len(graph.nodes) == classes
@@ -286,6 +290,43 @@ def test_mutation_bases_match_cocircuit_route_realizable():
     for r, n in ((1, 4), (2, 6), (3, 3), (4, 5), (5, 7)):
         for _ in range(3):
             assert_bases_match_cocircuit_route(om_from_points(random_points(rng, r, n)))
+
+
+# -- inherited mutation bases vs the full sign test ------------------------------
+
+def full_sign_test_bases(om):
+    """Slow reference: the sign test on every basis of a fresh copy."""
+    return mutation_bases(OrientedMatroid._from_chirotope(om.chirotope))
+
+
+@BFS_CLASSES
+def test_inherited_mutation_bases_match_full_sign_test_on_bfs_classes(make_seed, classes):
+    # every class after the seed inherits from its BFS parent, most of
+    # them from a parent whose own bases were inherited
+    graph = mutation_graph_bfs(make_seed(), max_nodes=classes)
+    assert len(graph.nodes) == classes
+    for node in graph.nodes.values():
+        assert node.om._mutation_bases == full_sign_test_bases(node.om)
+
+
+def test_flip_inherits_bases_only_from_a_parent_that_has_them():
+    om = cyclic_om(4, 8)
+    basis = next(
+        b for b in itertools.combinations(range(8), 4)
+        if om.chirotope.is_mutation(mask_of(b))
+    )
+    cold = flip_basis(om, basis)
+    assert om._mutation_bases is None and cold._mutation_bases is None
+    assert mutation_bases(cold) == full_sign_test_bases(cold)
+    # a chain of flips, each child inheriting from an inherited tuple
+    mutation_bases(om)
+    for step in range(6):
+        child = flip_basis(om, basis)
+        assert child._mutation_bases is not None
+        assert child._mutation_bases == full_sign_test_bases(child)
+        if step == 0:
+            assert child._mutation_bases == cold._mutation_bases
+        om, basis = child, child._mutation_bases[step % len(child._mutation_bases)]
 
 
 # -- the tope walk vs closing the covectors under composition -------------------
