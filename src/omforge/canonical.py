@@ -24,6 +24,13 @@ leaves the later leaf's subtree at the level where the two paths part,
 and skips every child in the orbit of a tried sibling under the maps
 found so far that fix the node's prefix.  Equivalent subtrees hold the
 same minimum, so the key is the one the full search would give.
+
+The search returns more than the key (`KeySearch`): the relabelling,
+per-position reorientation and global sign of the leaf that spells it,
+and the element maps it found.  Two chirotopes with one key are thus
+related by an explicit map, and a flip of one is a flip of the other at
+the mapped basis; the flip-graph search fills its key memo from these.
+Keys of rank <= 2 need no search and carry no transform.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from typing import NamedTuple, Optional
 
 from .core import Chirotope, OrientedMatroid, signed_mask
 from .signs import MINUS, PLUS
@@ -129,8 +137,32 @@ def _element_invariants(om: OrientedMatroid) -> list:
         colours = refined
 
 
+class KeySearch(NamedTuple):
+    """A canonical key and the leaf of the search that spells it.
+
+    With perm, rho and g, the key's entry for the positions P is
+    g * chi(perm[P]) * prod(rho[p] for p in P): the element perm[p] goes
+    to position p, reoriented by rho[p], and the whole is negated when
+    g < 0.  Each map sigma in gens sends element e to sigma[e] and
+    preserves chi up to reorientation.  perm, rho and g are None, and
+    gens is empty, for keys of rank <= 2, which need no search.
+    """
+
+    key: str
+    perm: Optional[tuple]
+    rho: Optional[tuple]
+    g: Optional[int]
+    gens: tuple
+
+
 def canonical_key(chi: Chirotope, invariants=None) -> str:
-    """Canonical chirotope string (lex-subset order) of the orbit.
+    """Canonical chirotope string (lex-subset order) of the orbit."""
+    return key_search(chi, invariants).key
+
+
+def key_search(chi: Chirotope, invariants=None) -> KeySearch:
+    """The canonical key of chi's orbit, with the transform that spells
+    it and the automorphisms found on the way.
 
     Minimization runs over relabelings that sort the per-element
     invariant profile; the result is still a chirotope string of the
@@ -148,7 +180,7 @@ def canonical_key(chi: Chirotope, invariants=None) -> str:
         # in its class: reorient its vectors into the open upper
         # half-plane and order them by angle.  That is the least string,
         # so it is the key the search below would reach.
-        return "+" * math.comb(n, r)
+        return KeySearch("+" * math.comb(n, r), None, None, None, ())
     inv = invariants
     required = sorted(inv)
     values = chi.signs
@@ -157,6 +189,7 @@ def canonical_key(chi: Chirotope, invariants=None) -> str:
     best = [2] * total  # 0 '+', 1 '-', 2 undecided sentinel
     dirty = False  # best changed since the last leaf
     ref_perm = None  # first leaf of the current pass spelling best
+    winner = None  # (perm, rho, g) of the last leaf that set best
     gens: list = []  # element maps found: automorphisms up to reorientation
 
     def chi_at(seq) -> int:
@@ -182,9 +215,11 @@ def canonical_key(chi: Chirotope, invariants=None) -> str:
                     best[t] = 2
         return False
 
-    def leaf(perm) -> int:
-        nonlocal dirty, ref_perm
+    def leaf(perm, rho, g) -> int:
+        nonlocal dirty, ref_perm, winner
         if dirty or ref_perm is None:
+            if dirty:
+                winner = (tuple(perm), tuple(rho), g)
             dirty = False
             ref_perm = perm[:]
             return n
@@ -206,7 +241,7 @@ def canonical_key(chi: Chirotope, invariants=None) -> str:
         unwind to after an automorphism is found, or n to carry on."""
         nonlocal dirty
         if level == n:
-            return leaf(perm)
+            return leaf(perm, rho, g)
         block = blocks[level]
         off = offsets[level]
         need = required[level]
@@ -342,7 +377,8 @@ def canonical_key(chi: Chirotope, invariants=None) -> str:
         descend(0, [], 0, [], g)
         if r % 2 == 1:
             break  # odd rank: -chi is the all-element reorientation of chi
-    return "".join("+" if best[i] == 0 else "-" for i in lex_to_colex)
+    key = "".join("+" if best[i] == 0 else "-" for i in lex_to_colex)
+    return KeySearch(key, *winner, tuple(tuple(sigma) for sigma in gens))
 
 
 def _orbits(gens, fixed, n: int) -> list:
@@ -368,14 +404,20 @@ def _colex_index(b) -> int:
     return sum(math.comb(e, i + 1) for i, e in enumerate(b))
 
 
-def canonical_form(om: OrientedMatroid) -> str:
-    """Canonical key of a uniform oriented matroid (dedup key for flip
-    searches: equal iff same relabeling/reorientation class)."""
-    if om._canonical_key is None:
+def canonical_search(om: OrientedMatroid) -> KeySearch:
+    """`key_search` of a uniform oriented matroid, run once and kept on
+    the oriented matroid."""
+    if om._key_search is None:
         chi = om.chirotope
         if chi is None:
             from .core import chirotope_from_cocircuits
 
             chi = chirotope_from_cocircuits(om)
-        om._canonical_key = canonical_key(chi, invariants=_element_invariants(om))
-    return om._canonical_key
+        om._key_search = key_search(chi, invariants=_element_invariants(om))
+    return om._key_search
+
+
+def canonical_form(om: OrientedMatroid) -> str:
+    """Canonical key of a uniform oriented matroid (dedup key for flip
+    searches: equal iff same relabeling/reorientation class)."""
+    return canonical_search(om).key

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .canonical import canonical_form
+from .canonical import canonical_form, canonical_search
 from .core import OrientedMatroid
 from .extensions import LexExtensionSpec, _mandel_pipeline_results, lex_extend
 from .faces import (
@@ -30,7 +30,7 @@ from .programs import (
     has_euclidean_program,
     is_euclidean,
 )
-from .signs import PLUS, mask_of
+from .signs import PLUS, bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -245,6 +245,45 @@ def _labelled(chi) -> int:
     return sum(1 << m for m, s in enumerate(chi.signs) if s < 0)
 
 
+def _images(mask: int, gens) -> set:
+    """The orbit of an element set (a bitmask) under the maps in gens."""
+    orbit = {mask}
+    stack = [mask]
+    while stack:
+        m = stack.pop()
+        for sigma in gens:
+            image = 0
+            for e in bits(m):
+                image |= 1 << sigma[e]
+            if image not in orbit:
+                orbit.add(image)
+                stack.append(image)
+    return orbit
+
+
+def _implied_entries(parent, parent_key, parent_labelled, mask, child, rep):
+    """Memo entries implied by keying child, the flip of parent at the
+    basis mask, to the class whose node holds rep.
+
+    The flips of parent at the images of the basis under parent's
+    automorphisms are isomorphic to child.  The key searches of child
+    and rep spell one string, so phi = perm_rep o perm_child^-1 maps
+    child onto rep up to reorientation and negation; flipping child back
+    at the basis gives parent, so flipping rep at phi(basis), or at any
+    image of it under rep's automorphisms, gives parent's class.
+    """
+    found, into = canonical_search(child), canonical_search(rep)
+    if found.perm is None:
+        return  # rank <= 2: no search, no transform
+    for m in _images(mask, canonical_search(parent).gens):
+        yield parent_labelled ^ (1 << m), found.key
+    position = {e: p for p, e in enumerate(found.perm)}
+    back = mask_of(into.perm[position[e]] for e in bits(mask))
+    rep_labelled = _labelled(rep.chirotope)
+    for m in _images(back, into.gens):
+        yield rep_labelled ^ (1 << m), parent_key
+
+
 def mutation_graph_bfs(
     seed: OrientedMatroid,
     max_nodes: int = 1000,
@@ -256,14 +295,22 @@ def mutation_graph_bfs(
     node_hook(node) runs once per accepted node, in BFS order; a hook
     that returns a true value ends the search after that node.  Budget
     exhaustion is reported, and a partial graph is returned.
+
+    A memo from labelled chirotopes (`_labelled`) to keys spares a child
+    met before its flip and its key.  Each child keyed afresh enters,
+    besides itself, the flips its key search implies
+    (`_implied_entries`): the parent's flips in the child's orbit under
+    the parent's automorphisms, and the flips of the class's node back
+    to the parent's class.  So an edge between two classes, and every
+    edge in its automorphism orbit, is keyed once.  Only memo hits
+    change: nodes, their order and their neighbour lists are the same
+    as with every child keyed.
     """
     if not seed.is_uniform():
         raise ValueError("mutation graph BFS requires a uniform seed")
     if seed.chirotope is None:
         raise ValueError("flip-graph search requires a seed with a chirotope")
     seed_key = canonical_form(seed)
-    # memo from labelled chirotopes (`_labelled`) to canonical keys: a
-    # child met before is neither flipped nor keyed again
     keys = {_labelled(seed.chirotope): seed_key}
     root = MutationGraphNode(seed_key, seed, 0)
     nodes: dict[str, MutationGraphNode] = {seed_key: root}
@@ -277,20 +324,26 @@ def mutation_graph_bfs(
             continue
         base = _labelled(node.om.chirotope)
         for basis in mutation_bases(node.om):
-            labelled = base ^ (1 << mask_of(basis))
+            mask = mask_of(basis)
+            labelled = base ^ (1 << mask)
             key = keys.get(labelled)
             child = None
             if key is None:
                 child = flip_basis(node.om, basis)
                 key = keys[labelled] = canonical_form(child)
+                rep = nodes[key].om if key in nodes else child
+                keys.update(
+                    _implied_entries(node.om, node.key, base, mask, child, rep)
+                )
             node.neighbors.append(key)
             if key in nodes:
                 continue
             if len(nodes) >= max_nodes:
                 graph.exhausted_budget = True
                 continue
-            # a key met before is in nodes unless the budget ran out, so
-            # a new node always comes with a freshly flipped child
+            # every memo value is the key of a node or of a child keyed
+            # once the budget ran out, so a new node always comes with a
+            # freshly flipped child
             new = MutationGraphNode(key, child, node.depth + 1)
             nodes[key] = new
             if node_hook is not None and node_hook(new):

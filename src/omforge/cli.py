@@ -55,6 +55,19 @@ def _emit(args, payload: dict) -> None:
         print(text)
 
 
+def _budget(text: str) -> int:
+    """A search budget or depth: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return value
+
+
 def _common_options(parser: argparse.ArgumentParser, top: bool) -> None:
     """Global flags, accepted before or after the subcommand."""
     d = (lambda v: v) if top else (lambda v: argparse.SUPPRESS)
@@ -62,9 +75,9 @@ def _common_options(parser: argparse.ArgumentParser, top: bool) -> None:
                         help="RNG seed recorded in every output")
     parser.add_argument("--out", default=d(None),
                         help="write JSON here instead of stdout")
-    parser.add_argument("--max-nodes", type=int, default=d(1000),
+    parser.add_argument("--max-nodes", type=_budget, default=d(1000),
                         help="node budget for graph searches")
-    parser.add_argument("--max-candidates", type=int, default=d(2000),
+    parser.add_argument("--max-candidates", type=_budget, default=d(2000),
                         help="candidate budget for witness searches")
 
 
@@ -120,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("mutation-graph", help="flip BFS with canonical dedup")
     p.add_argument("seedfile", help="seed oriented matroid file")
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=_budget, default=None)
 
     p = add_parser("mandel-pipeline", help="witness via the Euclidean-mutant flip")
     p.add_argument("file")
@@ -132,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("acceptance", help="run an acceptance suite")
     p.add_argument("suite", choices=sorted(accept.SUITES))
-    p.add_argument("--campaign-nodes", type=int, default=3000)
+    p.add_argument("--campaign-nodes", type=_budget, default=3000)
 
     return parser
 

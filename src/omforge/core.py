@@ -402,7 +402,7 @@ class OrientedMatroid:
         self._tope_cache = None
         self._mutation_cache = None
         self._mutation_bases = None
-        self._canonical_key: Optional[str] = None
+        self._key_search = None  # canonical.KeySearch, filled on first use
 
     @classmethod
     def _from_chirotope(

@@ -4,6 +4,7 @@ pass/fail line each (run pytest with -s to watch them stream)."""
 import pytest
 
 from omforge.acceptance import CRITERIA, AcceptanceContext, DEFAULT_SEED
+from omforge.canonical import canonical_form
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +57,22 @@ def test_eight_point_campaign_counts(ctx):
     assert stats["classes"] == 2628
     assert stats["non_euclidean"] == 18
     assert len(ctx.witnesses) == 18
+
+
+def test_eight_point_classes_are_closed_under_duality(ctx):
+    # the dual of a uniform rank-4 oriented matroid on 8 elements has
+    # rank 4 again, so duality permutes the campaign's classes; the
+    # rank-4 registry also holds corpus instances, which the keys merge
+    ctx.ensure_campaign()
+    classes = {
+        canonical_form(om): om
+        for om in ctx.euclidean_rank4 + ctx.non_euclidean
+        if om.n == 8
+    }
+    assert len(classes) == 2628
+    duals = {key: canonical_form(om.dual()) for key, om in classes.items()}
+    assert sum(1 for d in duals.values() if d not in classes) == 0
+    assert sum(1 for key, d in duals.items() if key == d) == 494
 
 
 def test_criterion_09_cycle_structure(ctx):

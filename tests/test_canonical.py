@@ -5,7 +5,13 @@ from collections import Counter
 
 import pytest
 
-from omforge.canonical import _colex_index, _element_invariants, canonical_form, canonical_key
+from omforge.canonical import (
+    _colex_index,
+    _element_invariants,
+    canonical_form,
+    canonical_key,
+    canonical_search,
+)
 from omforge.core import Chirotope, cocircuits_from_chirotope, om_from_points
 from omforge.corpus import (
     NON_EUCLIDEAN_848_CHI,
@@ -356,3 +362,77 @@ PINNED_KEYS = [
 @pytest.mark.parametrize("make_om, key", PINNED_KEYS, ids=["cyclic48", "cyclic38", "ne848"])
 def test_pinned_keys(make_om, key):
     assert canonical_form(make_om()) == key
+
+
+def apply_transform(chi, found):
+    """chi with element found.perm[p] moved to position p, position p
+    reoriented where found.rho[p] < 0, and negated where found.g < 0."""
+    position = [0] * chi.n
+    for p, e in enumerate(found.perm):
+        position[e] = p
+    out = chi.relabel(position).reorient(
+        [p for p, s in enumerate(found.rho) if s < 0]
+    )
+    return out.negate() if found.g < 0 else out
+
+
+def is_signed_reorientation(chi, other):
+    """other = s * chi reoriented at some set, for a sign s: the
+    per-basis ratio is s * prod(tau[e] for e in B).  tau is read off
+    the bases next to the first one (tau[0] = +1 loses nothing, as
+    (s, tau) and (s * (-1)^r, -tau) give one ratio) and then checked
+    on every basis."""
+    n, r = chi.n, chi.rank
+    ratio = {b: chi.basis_sign(b) * other.basis_sign(b)
+             for b in itertools.combinations(range(n), r)}
+    b0 = tuple(range(r))
+    tau = [1] * n
+    for e in range(r, n):
+        tau[e] = ratio[tuple(sorted((set(b0) - {0}) | {e}))] * ratio[b0]
+    for f in range(1, r):
+        tau[f] = ratio[tuple(sorted((set(b0) - {f}) | {r}))] * ratio[b0] * tau[r]
+    s = ratio[b0] * math.prod(tau[e] for e in b0)
+    return all(v == s * math.prod(tau[e] for e in b) for b, v in ratio.items())
+
+
+def transform_instances():
+    from omforge.classify import mutation_graph_bfs
+
+    rng = random.Random(67)
+    out = list(mutation_graph_bfs(cyclic_om(3, 8)).nodes.values())
+    out += mutation_graph_bfs(cyclic_om(4, 8), max_nodes=200).nodes.values()
+    out += mutation_graph_bfs(cyclic_om(5, 9), max_nodes=30).nodes.values()
+    oms = [node.om for node in out]
+    ne848 = non_euclidean_848().chirotope
+    oms += [cocircuits_from_chirotope(orbit_copy(ne848, rng)) for _ in range(6)]
+    return oms
+
+
+def test_returned_transform_spells_the_key_and_generators_are_automorphisms():
+    oms = transform_instances()
+    assert len(oms) == 135 + 200 + 30 + 6
+    with_gens = 0
+    for om in oms:
+        found = canonical_search(om)
+        chi = om.chirotope
+        assert apply_transform(chi, found).to_string() == found.key
+        with_gens += bool(found.gens)
+        for sigma in found.gens:
+            assert sorted(sigma) == list(range(chi.n))
+            assert is_signed_reorientation(chi, chi.relabel(sigma)), sigma
+    assert with_gens  # the symmetric classes near the cyclic seeds
+
+
+def test_signed_reorientation_check_rejects_a_flip():
+    from omforge.faces import flip, mutations
+
+    om = cyclic_om(4, 8)
+    chi = om.chirotope
+    assert is_signed_reorientation(chi, chi.reorient([1, 5]).negate())
+    assert not is_signed_reorientation(chi, flip(om, mutations(om)[0]).chirotope)
+
+
+def test_rank2_keys_carry_no_transform():
+    found = canonical_search(cyclic_om(2, 6))
+    assert found.key == "+" * 15
+    assert (found.perm, found.rho, found.g, found.gens) == (None, None, None, ())

@@ -1,6 +1,9 @@
+import importlib
 import itertools
 import random
 from collections import deque
+
+import pytest
 
 from omforge.canonical import canonical_form, canonical_key
 from omforge.classify import (
@@ -12,10 +15,15 @@ from omforge.classify import (
     summary_table,
 )
 from omforge.core import Chirotope, cocircuits_from_chirotope, om_from_points
-from omforge.corpus import cyclic_om, random_points, w3
+from omforge.corpus import cyclic_om, non_euclidean_848, random_points, w3
 from omforge.extensions import lex_extend
 from omforge.faces import flip, mutation_from_basis, mutations
 from omforge.programs import Program, all_programs_euclidean, is_euclidean
+from omforge.signs import mask_of
+
+# the modules, which the package's functions of the same names shadow
+canonical_module = importlib.import_module("omforge.canonical")
+classify_module = importlib.import_module("omforge.classify")
 
 
 def test_w3_las_vergnas():
@@ -176,6 +184,64 @@ def test_rank3_n8_closure_matches_full_rebuild():
     assert len(graph.nodes) == 135
     mine = {key: (node.depth, node.neighbors) for key, node in graph.nodes.items()}
     assert list(mine.items()) == list(reference_bfs(seed).items())
+
+
+def seeded_cyclic38():
+    # the seed of test_rank3_n8_closure_matches_full_rebuild
+    rng = random.Random(71)
+    perm = list(range(8))
+    rng.shuffle(perm)
+    chi = cyclic_om(3, 8).chirotope.relabel(perm).reorient([1, 4, 6])
+    return cocircuits_from_chirotope(chi)
+
+
+def from_labelled(r, n, labelled):
+    """The chirotope whose basis with bitmask m is negative iff bit m of
+    labelled is set (the memo's keys)."""
+    return Chirotope.from_string(r, n, "".join(
+        "-" if labelled >> mask_of(b) & 1 else "+"
+        for b in itertools.combinations(range(n), r)
+    ))
+
+
+@pytest.mark.parametrize(
+    "make_seed, classes",
+    [(seeded_cyclic38, 135), (lambda: cyclic_om(4, 8), 300), (non_euclidean_848, 100)],
+    ids=["closure38", "cyclic48", "non_euclidean_848"],
+)
+def test_implied_memo_entries_match_keys_from_scratch(monkeypatch, make_seed, classes):
+    # every memo entry the BFS takes from a key search's transform or
+    # automorphisms is the key of that labelled chirotope, keyed afresh
+    entries = {}
+    implied = classify_module._implied_entries
+
+    def recording(*args):
+        out = list(implied(*args))
+        for labelled, key in out:
+            assert entries.setdefault(labelled, key) == key
+        return out
+
+    monkeypatch.setattr(classify_module, "_implied_entries", recording)
+    seed = make_seed()
+    graph = mutation_graph_bfs(seed, max_nodes=classes)
+    assert len(graph.nodes) == classes
+    assert len(entries) > classes
+    for labelled, key in entries.items():
+        chi = from_labelled(seed.rank, seed.n, labelled)
+        # the validated chirotope is a flip of a class, keyed from scratch
+        assert canonical_form(cocircuits_from_chirotope(chi)) == key
+
+
+def test_closure_r3n8_keys_each_edge_once(monkeypatch):
+    searches = []
+    search = canonical_module.key_search
+    monkeypatch.setattr(
+        canonical_module, "key_search", lambda *a, **k: searches.append(1) or search(*a, **k)
+    )
+    graph = mutation_graph_bfs(cyclic_om(3, 8))
+    assert len(graph.nodes) == 135 and not graph.exhausted_budget
+    # a memo of the labelled children alone runs 776 key searches here
+    assert len(searches) < 776
 
 
 def test_rank5_n8_closure_is_dual_to_rank3_n8():

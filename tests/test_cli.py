@@ -361,3 +361,32 @@ def test_readers_never_raise_through_the_cli(tmp_path_factory, case):
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["mutation-graph", "{seed}", "--depth", "-1"],
+        ["--max-nodes", "-3", "mutation-graph", "{seed}"],
+        ["mutation-graph", "{seed}", "--max-nodes", "-3"],
+        ["--max-candidates", "-1", "classify", "{seed}"],
+        ["classify", "{seed}", "--max-candidates", "-1"],
+        ["mutation-graph", "{seed}", "--depth", "two"],
+    ],
+)
+def test_negative_budget_is_a_usage_error(tmp_path, capsys, flags):
+    seed = tmp_path / "c36.chi"
+    write_chi(seed, cyclic_om(3, 6).chirotope)
+    assert run([f.format(seed=seed) for f in flags]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_zero_budgets_are_accepted(tmp_path, capsys):
+    seed = tmp_path / "c36.chi"
+    write_chi(seed, cyclic_om(3, 6).chirotope)
+    code, payload = run_json(capsys, ["mutation-graph", str(seed), "--depth", "0"])
+    assert code == EXIT_OK
+    assert len(payload["nodes"]) == 1 and not payload["budget_exhausted"]
