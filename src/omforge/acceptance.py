@@ -1,10 +1,10 @@
 """Acceptance criteria as runnable suites.
 
 Each criterion returns a CriterionResult; the shared context carries
-the seeded corpus, the registry of uniform rank-4 Euclidean instances
-met along the way, and the directed-cycle witnesses collected by the
-eight-point campaign.  Budgets and tolerances are pinned here; all
-checks are exact.
+the seeded corpus, the eight-point campaign's classes (Euclidean and
+non-Euclidean) and its directed-cycle witnesses, and the pool of
+uniform rank-4 Euclidean corpus instances met along the way.  Budgets
+and tolerances are pinned here; all checks are exact.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .programs import (
     find_chords,
     has_euclidean_program,
     is_euclidean,
+    program_verdicts,
     reduce_cycle_chordless,
-    valid_programs,
     verify_witness,
     very_strong_components,
 )
@@ -79,8 +79,10 @@ class AcceptanceContext:
     campaign_nodes: int = 3000
     campaign_time_limit: float = 3600.0
     _corpus: Optional[list] = None
+    # the campaign's classes: euclidean_rank4 + non_euclidean holds each once
     euclidean_rank4: list = field(default_factory=list)
     non_euclidean: list = field(default_factory=list)
+    rank4_pool: list = field(default_factory=list)  # corpus instances
     witnesses: list = field(default_factory=list)  # (om, g, f, witness)
     campaign_stats: dict = field(default_factory=dict)
     _campaign_done: bool = False
@@ -102,7 +104,7 @@ class AcceptanceContext:
 
     def register_rank4(self, om) -> None:
         if om.rank == 4 and om.is_uniform() and all_programs_euclidean(om):
-            self.euclidean_rank4.append(om)
+            self.rank4_pool.append(om)
 
     def ensure_campaign(self) -> None:
         if not self._campaign_done:
@@ -314,7 +316,7 @@ def criterion_6_preservation(ctx: AcceptanceContext) -> CriterionResult:
 def criterion_7_min_mutations(ctx: AcceptanceContext) -> CriterionResult:
     def run():
         ctx.ensure_campaign()
-        pool = ctx.euclidean_rank4
+        pool = ctx.euclidean_rank4 + ctx.rank4_pool
         if not pool:
             return False, "no Euclidean uniform rank-4 instances registered"
         for om in pool:
@@ -331,8 +333,9 @@ def run_eight_point_campaign(ctx: AcceptanceContext) -> None:
     (a) some Euclidean program, (b) non-Euclidean classes have a
     Euclidean mutant one flip away, (c) the flip pipeline verifies a
     Mandel-style witness, (d) depth <= 2 classes keep a Euclidean
-    program.  Euclidean classes join the rank-4 registry; non-Euclidean
-    ones contribute directed-cycle witnesses.
+    program.  Euclidean classes join `euclidean_rank4`, non-Euclidean
+    ones `non_euclidean`, and each of those contributes a directed-cycle
+    witness on its first non-Euclidean program.
     """
     start = time.time()
     stats = {
@@ -358,12 +361,10 @@ def run_eight_point_campaign(ctx: AcceptanceContext) -> None:
             stats["a_failures"].append(node.key)
             if node.depth <= 2:
                 stats["d_failures"].append(node.key)
-        # witness for the cycle-structure criterion
-        for g, fx in valid_programs(om):
-            verdict = is_euclidean(Program(om, g, fx))
-            if not verdict.euclidean:
-                ctx.witnesses.append((om, g, fx, verdict.witness))
-                break
+        # witness for the cycle-structure criterion, on the first
+        # non-Euclidean program; the verdicts are cached on om
+        g, fx = next(pair for pair, ok in program_verdicts(om).items() if not ok)
+        ctx.witnesses.append((om, g, fx, is_euclidean(Program(om, g, fx)).witness))
         # Euclidean mutant at distance one, then the Mandel pipeline
         mutant_cert = None
         for cert in mutations(om):

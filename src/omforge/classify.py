@@ -24,12 +24,7 @@ from .faces import (
     mutation_bases,
     mutations,
 )
-from .programs import (
-    Program,
-    all_programs_euclidean,
-    has_euclidean_program,
-    is_euclidean,
-)
+from .programs import _verdicts, all_programs_euclidean, has_euclidean_program
 from .signs import PLUS, bits, mask_of
 
 
@@ -73,11 +68,8 @@ def _verify_lex_witness(om: OrientedMatroid, spec: LexExtensionSpec) -> bool:
     coloops = ext.coloops()
     if g in coloops:
         return False
-    return all(
-        is_euclidean(Program(ext, g, f)).euclidean
-        for f in range(om.n)
-        if f not in coloops
-    )
+    programs = [(g, f) for f in range(om.n) if f not in coloops]
+    return all(ok for _, ok in _verdicts(ext, programs))
 
 
 def mandel_witness_search(
@@ -212,7 +204,6 @@ class MutationGraphNode:
     om: OrientedMatroid
     depth: int
     neighbors: list = field(default_factory=list)
-    summary: Optional[dict] = None
 
 
 @dataclass
@@ -232,7 +223,6 @@ class MutationGraph:
                     if node.om.chirotope
                     else None,
                     "neighbors": sorted(set(node.neighbors)),
-                    "summary": node.summary,
                 }
                 for k, node in self.nodes.items()
             },

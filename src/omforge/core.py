@@ -290,6 +290,16 @@ class Chirotope:
             signs[comp] = parity * self.signs[m]
         return Chirotope._dense(self.n - self.rank, self.n, signs)
 
+    def restrict(self, keep: Sequence[int]) -> "Chirotope":
+        """The signs on the r-subsets of keep (ascending, at least r
+        elements), relabelled 0.. in keep's order: the chirotope of the
+        deletion of the other elements.  The relabelling keeps every
+        sorted subset sorted, so no sign changes."""
+        signs = [0] * (1 << len(keep))
+        for b in itertools.combinations(range(len(keep)), self.rank):
+            signs[mask_of(b)] = self.signs[mask_of(keep[i] for i in b)]
+        return Chirotope._dense(self.rank, len(keep), signs)
+
     def relabel(self, perm: Sequence[int]) -> "Chirotope":
         """Relabel so old element e becomes perm[e]."""
         signs = [0] * (1 << self.n)
@@ -399,6 +409,7 @@ class OrientedMatroid:
         self._uniform: Optional[bool] = None
         self._sorted: Optional[tuple[SignVector, ...]] = None
         self._graph_cache: dict[int, tuple] = {}
+        self._non_euclidean = None  # programs: frozenset of (g, f), decided once
         self._tope_cache = None
         self._mutation_cache = None
         self._mutation_bases = None
@@ -585,6 +596,16 @@ class OrientedMatroid:
         keep = [e for e in range(self.n) if e not in dset and e not in cset]
         if not keep:
             raise ValueError("minor would have empty ground set")
+        if self.labels is not None:
+            labels = [self.labels[e] for e in keep]
+        else:
+            labels = [str(e) for e in keep]
+        if not cset and len(keep) >= self.rank and self._uniform_chirotope():
+            # the deletion keeps rank r and is uniform: its chirotope is the
+            # restriction; the cocircuit route below is the oracle
+            return OrientedMatroid._from_chirotope(
+                self.chirotope.restrict(keep), labels=labels
+            )
         cmask = mask_of(cset)
         new_rank = self.subset_rank(mask_of(keep) | cmask) - self.subset_rank(cmask)
         if new_rank == 0:
@@ -604,11 +625,6 @@ class OrientedMatroid:
                 for z in restricted
             ):
                 minimal.append(y)
-        labels = None
-        if self.labels is not None:
-            labels = [self.labels[e] for e in keep]
-        else:
-            labels = [str(e) for e in keep]
         return OrientedMatroid(
             len(keep), new_rank, minimal, provenance="derived", labels=labels
         )
@@ -636,6 +652,8 @@ class OrientedMatroid:
         """True iff e lies in no hyperplane spanned by the other elements."""
         if not 0 <= e < self.n:
             raise ValueError(f"element {e} out of range")
+        if self._uniform_chirotope():
+            return True  # any r-1 others and e form a basis
         ebit = 1 << e
         for x in self.cocircuits:
             zm = x.zero_mask
@@ -684,12 +702,19 @@ class OrientedMatroid:
     # -- equality ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
+        """Equal cocircuit sets; when both sides carry a uniform
+        chirotope, which fixes the oriented matroid up to a global sign,
+        equal chirotopes up to that sign."""
+        if not (
             isinstance(other, OrientedMatroid)
             and self.n == other.n
             and self.rank == other.rank
-            and self.cocircuits == other.cocircuits
-        )
+        ):
+            return False
+        if self._uniform_chirotope() and other._uniform_chirotope():
+            mine, theirs = self.chirotope.signs, other.chirotope.signs
+            return mine == theirs or mine == [-s for s in theirs]
+        return self.cocircuits == other.cocircuits
 
     def __hash__(self) -> int:
         return hash((self.n, self.rank, self.cocircuits))

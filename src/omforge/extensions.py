@@ -30,7 +30,7 @@ from .faces import (
     mutation_from_basis,
     topes,
 )
-from .programs import Program, _neighbour_pairs, all_programs_euclidean, is_euclidean
+from .programs import _neighbour_pairs, _verdicts, all_programs_euclidean
 from .signs import MINUS, PLUS, SignVector, char_sign, sign_char
 
 
@@ -484,9 +484,8 @@ def mandel_from_euclidean_mutant(
     flipped = flip(o_fp, cert1)
     result = flipped.reorient(neg) if neg else flipped
     deletion_ok = result.minor(delete={fp}) == om
-    verdicts = {
-        e: is_euclidean(Program(result, e, fp)).euclidean for e in range(om.n)
-    }
+    programs = [(e, fp) for e in range(om.n)]
+    verdicts = {e: ok for (e, _), ok in _verdicts(result, programs)}
     return MandelPipelineResult(
         result, fp, spec, basis_order, g, deletion_ok, verdicts, neg
     )

@@ -6,15 +6,19 @@ its f-sign directs the edge.  A program is Euclidean iff the strictly
 directed graph is acyclic.  Directed cycles traverse only strictly
 directed edges; direction-0 edges are never traversable.
 
-For a uniform oriented matroid of rank r >= 2 that carries a chirotope,
 `program_verdicts`, `all_programs_euclidean` and `has_euclidean_program`
-read the verdicts from the chirotope's signs, by pseudoline order; signs
-are read on ordered tuples with U sorted first.  Fix g and an
-(r-2)-subset U without g.  The vertices on the line U are the cocircuits
-X_a with zero set U+a, for a outside U+g; normalised to X_g = +, they
-are X_a(e) = chi(U,a,e) chi(U,a,g).  The elements of the rank-2
-contraction by U have a cyclic order, and the vertices on the line U
-are totally ordered as the half-turn of it that follows g.  Only
+read one cache per oriented matroid: the set of its non-Euclidean
+programs, decided on first use and empty for a Euclidean class.
+
+For a uniform oriented matroid of rank r >= 2 that carries a chirotope,
+the verdicts come from the chirotope's signs by pseudoline order, and so
+do those of the extension programs that the Mandel checks decide
+(`_verdicts`).  Signs are read on ordered tuples with U sorted first.
+Fix g and an (r-2)-subset U without g.  The vertices on the line U are
+the cocircuits X_a with zero set U+a, for a outside U+g; normalised to
+X_g = +, they are X_a(e) = chi(U,a,e) chi(U,a,g).  The elements of the
+rank-2 contraction by U have a cyclic order, and the vertices on the
+line U are totally ordered as the half-turn of it that follows g.  Only
 consecutive vertices are conformal, so the edges on the line are the
 consecutive pairs.  The edge a -> b has direction
 eps * chi(U,g,f) with eps = chi(U,g,a) chi(U,b,a) chi(U,b,g), since
@@ -407,10 +411,13 @@ def _acyclic(size: int, verts: list[int], arc_lists) -> bool:
     return done == len(verts)
 
 
-def _sign_verdicts(om: OrientedMatroid) -> Iterator[tuple[tuple[int, int], bool]]:
-    """Verdicts of a uniform oriented matroid of rank >= 2 with a
-    chirotope, in `valid_programs` order, read from the chirotope's signs
-    by the pseudoline rule in the module docstring."""
+def _sign_verdicts(
+    om: OrientedMatroid, programs: list[tuple[int, int]]
+) -> Iterator[tuple[tuple[int, int], bool]]:
+    """Verdicts of valid programs of a uniform oriented matroid of rank
+    >= 2 with a chirotope, read from the chirotope's signs by the
+    pseudoline rule in the module docstring.  programs lists (g, f)
+    grouped by g: the paths are built once per run of one g."""
     pseudolines = _pseudolines(om.chirotope)
     # vertices are numbered by their zero sets, the (r-1)-subsets
     index = {
@@ -418,7 +425,7 @@ def _sign_verdicts(om: OrientedMatroid) -> Iterator[tuple[tuple[int, int], bool]
         for i, z in enumerate(itertools.combinations(range(om.n), om.rank - 1))
     }
     current = -1
-    for g, f in valid_programs(om):
+    for g, f in programs:
         if g != current:
             current = g
             paths = _paths_at(pseudolines, index, g)
@@ -432,28 +439,46 @@ def _sign_verdicts(om: OrientedMatroid) -> Iterator[tuple[tuple[int, int], bool]
         yield (g, f), _acyclic(len(index), verts, arcs)
 
 
-def _verdicts(om: OrientedMatroid) -> Iterator[tuple[tuple[int, int], bool]]:
-    """((g, f), Euclidean?) over `valid_programs(om)`: from the signs for a
-    uniform oriented matroid of rank >= 2 with a chirotope, else from the
-    cocircuit graph (`is_euclidean`)."""
+def _verdicts(
+    om: OrientedMatroid, programs: list[tuple[int, int]]
+) -> Iterator[tuple[tuple[int, int], bool]]:
+    """((g, f), Euclidean?) for valid programs of om, a list grouped by
+    g: from the signs for a uniform oriented matroid of rank >= 2 with a
+    chirotope, else from the cocircuit graph (`is_euclidean`).  Lazy, so
+    a caller that stops early decides no further program."""
     if om.rank >= 2 and om._uniform_chirotope():
-        return _sign_verdicts(om)
+        return _sign_verdicts(om, programs)
     return (
         ((g, f), is_euclidean(Program(om, g, f)).euclidean)
-        for g, f in valid_programs(om)
+        for g, f in programs
     )
 
 
+_ALL_EUCLIDEAN = frozenset()  # shared by every Euclidean oriented matroid
+
+
+def _non_euclidean_programs(om: OrientedMatroid) -> frozenset[tuple[int, int]]:
+    """The non-Euclidean programs of om, decided once per oriented matroid
+    and cached on it (`OrientedMatroid._non_euclidean`)."""
+    if om._non_euclidean is None:
+        om._non_euclidean = frozenset(
+            pair for pair, ok in _verdicts(om, valid_programs(om)) if not ok
+        ) or _ALL_EUCLIDEAN
+    return om._non_euclidean
+
+
 def program_verdicts(om: OrientedMatroid) -> dict[tuple[int, int], bool]:
-    return dict(_verdicts(om))
+    """Euclidean? for each program, in `valid_programs` order."""
+    bad = _non_euclidean_programs(om)
+    return {pair: pair not in bad for pair in valid_programs(om)}
 
 
 def all_programs_euclidean(om: OrientedMatroid) -> bool:
-    return all(ok for _, ok in _verdicts(om))
+    return not _non_euclidean_programs(om)
 
 
 def has_euclidean_program(om: OrientedMatroid) -> bool:
-    return any(ok for _, ok in _verdicts(om))
+    return len(_non_euclidean_programs(om)) < len(valid_programs(om))
 
 
 def is_totally_non_euclidean(om: OrientedMatroid) -> bool:

@@ -61,14 +61,12 @@ def test_eight_point_campaign_counts(ctx):
 
 def test_eight_point_classes_are_closed_under_duality(ctx):
     # the dual of a uniform rank-4 oriented matroid on 8 elements has
-    # rank 4 again, so duality permutes the campaign's classes; the
-    # rank-4 registry also holds corpus instances, which the keys merge
+    # rank 4 again, so duality permutes the campaign's classes; the two
+    # class lists hold the campaign's classes and nothing else
     ctx.ensure_campaign()
-    classes = {
-        canonical_form(om): om
-        for om in ctx.euclidean_rank4 + ctx.non_euclidean
-        if om.n == 8
-    }
+    members = ctx.euclidean_rank4 + ctx.non_euclidean
+    assert len(members) == 2628
+    classes = {canonical_form(om): om for om in members}
     assert len(classes) == 2628
     duals = {key: canonical_form(om.dual()) for key, om in classes.items()}
     assert sum(1 for d in duals.values() if d not in classes) == 0

@@ -323,6 +323,84 @@ def test_general_position():
         om.is_general_position(99)
 
 
+# -- chirotope fast paths against the cocircuit routes ----------------------
+
+def _stripped(om):
+    """A cocircuit-only copy, on which every query takes the cocircuit route."""
+    return OrientedMatroid(om.n, om.rank, om.cocircuits, labels=om.labels)
+
+
+@pytest.fixture(scope="module")
+def uniform_instances():
+    """Sampled flip-graph classes and lexicographic extensions, each with
+    a uniform chirotope."""
+    from omforge.classify import mutation_graph_bfs
+    from omforge.corpus import non_euclidean_848
+    from omforge.extensions import LexExtensionSpec, lex_extend
+
+    out = []
+    for seed, count in ((cyclic_om(4, 8), 12), (non_euclidean_848(), 12),
+                        (cyclic_om(3, 7), 8), (cyclic_om(2, 5), 4)):
+        graph = mutation_graph_bfs(seed, max_nodes=count)
+        out.extend(node.om for node in graph.nodes.values())
+    rng = random.Random(29)
+    for r, n in ((3, 6), (4, 7)):
+        om = om_from_points(random_points(rng, r, n, uniform=True))
+        for _ in range(2):
+            elems = rng.sample(range(n), r)
+            signs = [rng.choice((1, -1)) for _ in elems]
+            out.append(lex_extend(om, LexExtensionSpec(tuple(zip(elems, signs)))))
+    out.append(lex_extend(non_euclidean_848(), LexExtensionSpec(
+        ((0, 1), (3, -1), (5, 1), (6, 1)))))
+    assert all(om._uniform_chirotope() for om in out)
+    return out
+
+
+def test_chirotope_deletion_matches_cocircuit_minor(uniform_instances):
+    for om in uniform_instances:
+        n, r = om.n, om.rank
+        deletions = [{e} for e in range(n)] + [{0, n - 1}, set(range(r - 1, n))]
+        oracle = _stripped(om)
+        for d in deletions:
+            fast, slow = om.minor(delete=d), oracle.minor(delete=d)
+            # deleting below rank r leaves the chirotope route
+            assert (fast.chirotope is not None) == (n - len(d) >= r)
+            assert (fast.n, fast.rank, fast.labels) == (slow.n, slow.rank, slow.labels)
+            assert fast.cocircuits == slow.cocircuits
+
+
+def test_chirotope_equality_matches_cocircuit_equality(uniform_instances):
+    outcomes = set()
+    for om in uniform_instances:
+        chi = om.chirotope
+        first = mutations(om)[0].basis
+        others = [
+            OrientedMatroid._from_chirotope(chi),
+            OrientedMatroid._from_chirotope(chi.negate()),
+            om.reorient(range(om.n)),  # negates every cocircuit: the same set
+            om.reorient({0}),
+            OrientedMatroid._from_chirotope(chi.relabel([1, 0] + list(range(2, om.n)))),
+            OrientedMatroid._from_chirotope(chi.with_basis_flipped(first)),
+        ]
+        for other in others:
+            assert other._uniform_chirotope()
+            expected = _stripped(om) == _stripped(other)
+            assert (om == other) == expected
+            assert (om == _stripped(other)) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_general_position_shortcut_matches_cocircuit_scan(uniform_instances):
+    # points 0, 1 and 2 are collinear: a chirotope that is not uniform
+    collinear = om_from_points([[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 2, 3]])
+    for om in uniform_instances + [collinear]:
+        oracle = _stripped(om)
+        got = [om.is_general_position(e) for e in range(om.n)]
+        assert got == [oracle.is_general_position(e) for e in range(om.n)]
+    assert not collinear.is_general_position(0)
+
+
 # -- inseparable pairs -------------------------------------------------------
 
 def test_lex_pair_is_contravariant():

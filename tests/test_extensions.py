@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from omforge.core import om_from_points, validate_cocircuit_axioms
+from omforge.core import OrientedMatroid, om_from_points, validate_cocircuit_axioms
 from omforge.corpus import cyclic_om, random_points, w3
 from omforge.extensions import (
     ExtensionError,
     LexExtensionSpec,
     PerturbationError,
+    _mandel_pipeline_results,
     corresponding_cocircuit,
     creation_check,
     destruction_check,
@@ -267,6 +268,31 @@ def test_mandel_pipeline_on_euclidean_input():
     assert result.deletion_ok
     assert result.ok
     assert result.fprime == 8
+
+
+def test_mandel_pipeline_verdicts_match_is_euclidean(non_euclidean_om):
+    # every pipeline result on non_euclidean_848: the sign-route verdicts
+    # of the programs (e, f') and the deletion check by chirotopes,
+    # against their cocircuit oracles
+    om = non_euclidean_om
+    stripped = OrientedMatroid(om.n, om.rank, om.cocircuits)
+    results = [
+        result
+        for cert in mutations(om)
+        for result in _mandel_pipeline_results(om, cert.basis)
+    ]
+    assert len(results) == 128
+    seen = set()
+    for result in results:
+        ext, fp = result.om_extended, result.fprime
+        assert ext._uniform_chirotope()  # so the verdicts read signs
+        assert result.program_verdicts == {
+            e: is_euclidean(Program(ext, e, fp)).euclidean for e in range(om.n)
+        }
+        ext_stripped = OrientedMatroid(ext.n, ext.rank, ext.cocircuits)
+        assert result.deletion_ok == (ext_stripped.minor(delete={fp}) == stripped)
+        seen.update(result.program_verdicts.values())
+    assert seen == {True, False}
 
 
 def test_preservation_lemmas():

@@ -1,16 +1,19 @@
+import itertools
 import random
 
 import pytest
 
-from omforge.classify import mutation_graph_bfs
+from omforge.classify import _verify_lex_witness, mutation_graph_bfs
 from omforge.core import OrientedMatroid, om_from_points
 from omforge.corpus import cyclic_om, non_euclidean_848, random_points, w3
+from omforge.extensions import LexExtensionSpec, lex_extend
 from omforge.faces import mutations
 from omforge.programs import (
     DirectedCycleWitness,
     ElementNotInSeparator,
     NonComodularPair,
     Program,
+    _verdicts,
     all_programs_euclidean,
     analyze_cycle,
     cocircuit_graph,
@@ -26,7 +29,7 @@ from omforge.programs import (
     verify_witness,
     very_strong_components,
 )
-from omforge.signs import SignVector
+from omforge.signs import MINUS, PLUS, SignVector
 
 sv = SignVector.from_string
 
@@ -304,3 +307,75 @@ def test_euclidean_campaign_classes_derive_no_cocircuits():
     for node in graph.nodes.values():
         assert node.om._cocircuits is None
         assert not node.om._graph_cache
+
+
+# -- extension programs by signs, and the verdict cache ---------------------------
+
+def test_sign_verdicts_match_is_euclidean_on_lex_extensions():
+    # the programs (n, f) that _verify_lex_witness decides: on the
+    # extension by the spec mandel_witness_search tries first, and by
+    # seeded specs like those of its brute search
+    rng = random.Random(23)
+    instances = [
+        om_from_points(random_points(rng, r, n, uniform=True))
+        for r, n in ((3, 6), (3, 7), (4, 7), (4, 8))
+    ]
+    instances.append(non_euclidean_848())
+    seen = set()
+    for om in instances:
+        specs = [LexExtensionSpec(tuple((e, PLUS) for e in range(om.rank)))]
+        for _ in range(8):
+            elems = rng.sample(range(om.n), om.rank)
+            signs = [rng.choice((PLUS, MINUS)) for _ in elems]
+            specs.append(LexExtensionSpec(tuple(zip(elems, signs))))
+        for spec in specs:
+            ext = lex_extend(om, spec)
+            assert ext._uniform_chirotope()  # so _verdicts reads signs
+            programs = [(om.n, f) for f in range(om.n)]
+            got = dict(_verdicts(ext, programs))
+            assert list(got) == programs
+            assert got == {
+                (g, f): is_euclidean(Program(ext, g, f)).euclidean
+                for g, f in programs
+            }
+            assert _verify_lex_witness(om, spec) == all(got.values())
+            seen.update(got.values())
+    assert seen == {True, False}
+
+
+CACHED_CALLS = (program_verdicts, all_programs_euclidean, has_euclidean_program)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: cyclic_om(4, 8),
+        non_euclidean_848,
+        lambda: OrientedMatroid(8, 4, non_euclidean_848().cocircuits),
+        lambda: w3().direct_sum(w3()),
+        lambda: cyclic_om(1, 3),
+        lambda: cyclic_om(3, 3),
+    ],
+    ids=["cyclic48", "non_euclidean_848", "848_cocircuits_only", "w3_plus_w3",
+         "rank1", "no_programs"],
+)
+def test_verdict_cache_any_call_order(make):
+    # each call on a fresh copy is the reference; on one copy, the three
+    # calls in any order give the same answers, and the verdicts are
+    # decided by the first call only
+    reference = [call(make()) for call in CACHED_CALLS]
+    assert reference[1] == all(reference[0].values())
+    assert reference[2] == any(reference[0].values())
+    for order in itertools.permutations(range(len(CACHED_CALLS))):
+        om = make()
+        got = [None] * len(CACHED_CALLS)
+        for k, i in enumerate(order):
+            got[i] = CACHED_CALLS[i](om)
+            if k == 0:
+                decided = om._non_euclidean
+        assert got == reference
+        assert om._non_euclidean is decided
+        # the returned map is the caller's own
+        for pair in got[0]:
+            got[0][pair] = not got[0][pair]
+        assert program_verdicts(om) == reference[0]
