@@ -49,6 +49,7 @@ from .faces import (
     flip_basis,
     is_simplicial_tope,
     min_adjacent_mutations,
+    mutation_adjacency,
     mutation_bases,
     mutation_from_basis,
     mutations,

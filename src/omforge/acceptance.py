@@ -48,6 +48,8 @@ from .programs import (
 from .signs import PLUS
 
 DEFAULT_SEED = 20260810
+CORPUS_SIZE = 100
+CAMPAIGN_TIME_LIMIT = 3600.0  # seconds; criterion 8's 60-minute target
 
 
 @dataclass
@@ -75,9 +77,7 @@ class CriterionResult:
 @dataclass
 class AcceptanceContext:
     seed: int = DEFAULT_SEED
-    corpus_size: int = 100
     campaign_nodes: int = 3000
-    campaign_time_limit: float = 3600.0
     _corpus: Optional[list] = None
     # the campaign's classes: euclidean_rank4 + non_euclidean holds each once
     euclidean_rank4: list = field(default_factory=list)
@@ -88,13 +88,13 @@ class AcceptanceContext:
     _campaign_done: bool = False
 
     def corpus(self) -> list:
-        """>= corpus_size seeded uniform realizable instances, ranks 2-4,
+        """CORPUS_SIZE seeded uniform realizable instances, ranks 2-4,
         n <= 9, plus their defining point configurations."""
         if self._corpus is None:
             rng = random.Random(self.seed)
             out = []
             ranks = (2, 3, 4)
-            while len(out) < self.corpus_size:
+            while len(out) < CORPUS_SIZE:
                 r = ranks[len(out) % 3]
                 n = rng.randint(r + 2, min(9, r + 5))
                 pts = random_points(rng, r, n, uniform=True)
@@ -397,7 +397,7 @@ def criterion_8_eight_point(ctx: AcceptanceContext) -> CriterionResult:
         for tag in ("a", "b", "c", "d"):
             if s[f"{tag}_failures"]:
                 problems.append(f"({tag}) failed on {len(s[f'{tag}_failures'])} classes")
-        if s["elapsed"] >= ctx.campaign_time_limit:
+        if s["elapsed"] >= CAMPAIGN_TIME_LIMIT:
             problems.append(f"exceeded 60min target ({s['elapsed']:.0f}s)")
         detail = (
             f"{s['classes']} classes ({'closure' if s['closure'] else 'partial'}), "

@@ -16,14 +16,7 @@ from typing import Iterable, Optional
 from .canonical import canonical_form, canonical_search
 from .core import OrientedMatroid
 from .extensions import LexExtensionSpec, _mandel_pipeline_results, lex_extend
-from .faces import (
-    adjacent_mutation_count,
-    flip,
-    flip_basis,
-    min_adjacent_mutations,
-    mutation_bases,
-    mutations,
-)
+from .faces import flip, flip_basis, mutation_adjacency, mutation_bases, mutations
 from .programs import _verdicts, all_programs_euclidean, has_euclidean_program
 from .signs import PLUS, bits, mask_of
 
@@ -52,12 +45,7 @@ class MandelWitness:
 
 def is_las_vergnas(om: OrientedMatroid) -> bool:
     """Every non-loop, non-coloop element has an adjacent mutation."""
-    loops, coloops = om.loops(), om.coloops()
-    return all(
-        adjacent_mutation_count(om, e) >= 1
-        for e in range(om.n)
-        if e not in loops and e not in coloops
-    )
+    return all(mutation_adjacency(om).values())
 
 
 def _verify_lex_witness(om: OrientedMatroid, spec: LexExtensionSpec) -> bool:
@@ -158,19 +146,16 @@ class ClassificationReport:
         }
 
 
-def classify(
-    om: OrientedMatroid, mandel_budget: int = 2000, search_mandel: bool = True
-) -> ClassificationReport:
-    loops, coloops = om.loops(), om.coloops()
-    eligible = [e for e in range(om.n) if e not in loops and e not in coloops]
-    bases = mutation_bases(om)
-    adjacency = {e: sum(1 for b in bases if e in b) for e in eligible}
-    lv = all(c >= 1 for c in adjacency.values())
+def classify(om: OrientedMatroid, mandel_budget: int = 2000) -> ClassificationReport:
+    """The classification chain; the Mandel witness search runs on
+    uniform input only, and is undetermined on the rest."""
+    adjacency = mutation_adjacency(om)
+    lv = all(adjacency.values())
     eall = all_programs_euclidean(om)
     tne = False if eall else not has_euclidean_program(om)
     witness = None
     undetermined = False
-    if search_mandel and om.is_uniform():
+    if om.is_uniform():
         witness = mandel_witness_search(om, budget=mandel_budget)
         undetermined = witness is None
     else:
@@ -185,9 +170,9 @@ def classify(
         las_vergnas=lv,
         mandel_witness=witness,
         mandel_undetermined=undetermined,
-        L=min(adjacency.values()) if adjacency else None,
+        L=min(adjacency.values(), default=None),
         adjacency=adjacency,
-        mutation_count=len(bases),
+        mutation_count=len(mutation_bases(om)),
     )
     if report.realizable_by_construction and not report.euclidean_all_programs:
         report.consistency_violations.append("realizable but not Euclidean")
@@ -361,22 +346,27 @@ def flip_distance_to_euclidean(
 
 
 def summary_table(oms: Iterable[OrientedMatroid]) -> dict:
-    """Aggregate the minimum per-element mutation adjacency by class flags."""
+    """Aggregate the minimum per-element mutation adjacency by class
+    flags; a class with no non-loop, non-coloop element has no L, and is
+    counted without moving min_L or max_L."""
     rows: dict[str, dict] = {}
 
-    def bump(bucket: str, value: int):
+    def bump(bucket: str, value: Optional[int]):
         row = rows.setdefault(bucket, {"count": 0, "min_L": None, "max_L": None})
         row["count"] += 1
+        if value is None:
+            return
         row["min_L"] = value if row["min_L"] is None else min(row["min_L"], value)
         row["max_L"] = value if row["max_L"] is None else max(row["max_L"], value)
 
     for om in oms:
-        L = min_adjacent_mutations(om)
+        adjacency = mutation_adjacency(om)
+        L = min(adjacency.values(), default=None)
         bump("all", L)
         if om.provenance == "from-points":
             bump("realizable", L)
         if all_programs_euclidean(om):
             bump(f"euclidean-rank-{om.rank}", L)
-        if is_las_vergnas(om):
+        if all(adjacency.values()):
             bump("las-vergnas", L)
     return rows

@@ -21,13 +21,7 @@ from .extensions import (
     mandel_from_euclidean_mutant,
     perturb_extension,
 )
-from .faces import (
-    adjacent_mutation_count,
-    flip_basis,
-    min_adjacent_mutations,
-    mutations,
-    topes,
-)
+from .faces import flip_basis, mutation_adjacency, mutations, topes
 from .fileio import load_om, read_ccj_fields, read_chi
 from .programs import Program, is_euclidean, program_verdicts
 from .signs import SignVector
@@ -195,13 +189,11 @@ def _dispatch(args) -> int:
 
     if cmd == "mutations":
         om = load_om(args.file)
-        certs = mutations(om)
-        loops, coloops = om.loops(), om.coloops()
-        eligible = [e for e in range(om.n) if e not in loops and e not in coloops]
+        adjacency = mutation_adjacency(om)
         _emit(args, {
-            "mutations": [c.to_json() for c in certs],
-            "adjacency": {str(e): adjacent_mutation_count(om, e) for e in eligible},
-            "L": min_adjacent_mutations(om) if eligible else None,
+            "mutations": [c.to_json() for c in mutations(om)],
+            "adjacency": {str(e): c for e, c in adjacency.items()},
+            "L": min(adjacency.values(), default=None),
         })
         return EXIT_OK
 
@@ -265,8 +257,7 @@ def _dispatch(args) -> int:
 
     if cmd == "classify":
         om = load_om(args.file)
-        report = classify(om, mandel_budget=args.max_candidates,
-                          search_mandel=om.is_uniform())
+        report = classify(om, mandel_budget=args.max_candidates)
         _emit(args, report.to_json())
         if report.consistency_violations:
             return EXIT_INVALID

@@ -1,13 +1,18 @@
 """Single-element extensions and their interaction with mutations.
 
-Lexicographic extensions come in two routes that must agree: the
-chirotope route (uniform, full-length priority list) and the
-localization route (general; old cocircuits pick up the localization
-sign, new cocircuits appear on every line where the localization
-changes sign between neighbours).  On top sit the mutation
-creation/destruction checks, the head-swap isomorphism, perturbation of
-an extension off a vertex, and the flip/extension exchange pipeline
-that manufactures Mandel witnesses from Euclidean mutants.
+Lexicographic extensions come in two routes that must agree.  The
+chirotope route takes a uniform oriented matroid with a chirotope and a
+full-length priority list, and writes the extension's signs directly;
+it is trusted without a Grassmann-Pluecker check, since a lexicographic
+extension of a valid chirotope is valid.  The localization route (old
+cocircuits pick up the localization sign, new cocircuits appear on
+every line where the localization changes sign between neighbours)
+takes every other input and is the chirotope route's test oracle.  On
+top sit the mutation creation/destruction checks, the head-swap
+isomorphism, perturbation of an extension off a vertex, and the
+flip/extension exchange pipeline that manufactures Mandel witnesses
+from Euclidean mutants; the pipeline tests and flips the shifted basis
+by the chirotope sign test.
 """
 
 from __future__ import annotations
@@ -16,22 +21,16 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .core import (
-    Chirotope,
-    OrientedMatroid,
-    cocircuits_from_chirotope,
-    pair_kind,
-    validate_cocircuit_axioms,
-)
+from .core import Chirotope, OrientedMatroid, pair_kind, validate_cocircuit_axioms
 from .faces import (
     MutationCertificate,
     adjacent_cocircuits,
-    flip,
+    flip_basis,
     mutation_from_basis,
     topes,
 )
 from .programs import _neighbour_pairs, _verdicts, all_programs_euclidean
-from .signs import MINUS, PLUS, SignVector, char_sign, sign_char
+from .signs import MINUS, PLUS, SignVector, bits, char_sign, mask_of, sign_char
 
 
 class ExtensionError(ValueError):
@@ -118,35 +117,42 @@ def extend_by_localization(
 
 def lex_extension_chirotope(om: OrientedMatroid, spec: LexExtensionSpec) -> Chirotope:
     """Chirotope of om[spec]: on tuples through the new element p, the
-    first nonzero of a_i * chi(e_i, lambda) decides the sign."""
+    first nonzero of a_i * chi(e_i, lambda) decides the sign.
+
+    p is the top bit, so every old sign keeps its mask and the new signs
+    sit at the masks of lambda + {p}."""
     chi = om.chirotope
     if chi is None:
         raise ExtensionError("no chirotope available")
     r, n = chi.rank, chi.n
     if len(spec.terms) != r:
         raise ExtensionError("chirotope route needs a full-length priority list")
-    signs = {}
-    for b in itertools.combinations(range(n), r):
-        signs[b] = chi.basis_sign(b)
-    flip_parity = -1 if (r - 1) % 2 else 1
+    top = 1 << n
+    signs = chi.signs + [0] * top
     for lam in itertools.combinations(range(n), r - 1):
-        val = 0
+        am = mask_of(lam)
         for e, a in spec.terms:
-            s = chi.chi(e, *lam)
+            s = signs[am | 1 << e]  # 0 when e is in lambda
             if s:
-                val = a * s
+                # chi(p, lambda) = a * chi(e, lambda); sorting (e, lambda)
+                # passes e over the elements of lambda below it, and
+                # sorting (p, lambda) passes p over all r - 1 of them
+                if ((am & ((1 << e) - 1)).bit_count() + r - 1) & 1:
+                    s = -s
+                signs[am | top] = a * s
                 break
-        signs[lam + (n,)] = flip_parity * val
-    return Chirotope(r, n + 1, signs)
+    return Chirotope._dense(r, n + 1, signs)
 
 
-def lex_extend(
-    om: OrientedMatroid, spec: LexExtensionSpec, route: str = "auto"
-) -> OrientedMatroid:
+def lex_extend(om: OrientedMatroid, spec: LexExtensionSpec) -> OrientedMatroid:
     """Lexicographic extension; the new element is appended as index n.
 
-    route: 'auto' uses the chirotope when the uniform fast path applies,
-    'chirotope' forces it, 'localization' forces the general route.
+    A uniform oriented matroid with a chirotope and a full-length spec
+    takes the chirotope route, which is trusted without a check: a
+    lexicographic extension of a valid chirotope is valid, and any r
+    distinct elements of a uniform oriented matroid are independent.
+    Every other input takes the localization route, which is also the
+    chirotope route's test oracle.
     """
     elems = spec.elements()
     if any(not 0 <= e < om.n for e in elems):
@@ -154,16 +160,10 @@ def lex_extend(
     k = len(elems)
     if k > om.rank:
         raise ExtensionError("spec longer than rank")
+    if om.chirotope is not None and k == om.rank and om.is_uniform():
+        return OrientedMatroid._from_chirotope(lex_extension_chirotope(om, spec))
     if om.subset_rank(elems) != k:
         raise ExtensionError("spec elements are dependent")
-    chirotope_ok = om.chirotope is not None and om.is_uniform() and k == om.rank
-    if route == "chirotope" and not chirotope_ok:
-        raise ExtensionError("chirotope route needs uniform om and full-length spec")
-    if route not in ("auto", "chirotope", "localization"):
-        raise ExtensionError(f"unknown route {route!r}")
-    if route in ("auto", "chirotope") and chirotope_ok:
-        chi = lex_extension_chirotope(om, spec)
-        return cocircuits_from_chirotope(chi, provenance="derived")
     return extend_by_localization(om, lex_localization(om, spec))
 
 
@@ -244,19 +244,21 @@ def creation_check(
 def orient_tope_positive(
     om: OrientedMatroid, cert: MutationCertificate
 ) -> tuple[OrientedMatroid, MutationCertificate, frozenset[int]]:
-    """Reorient so the certificate tope is the all-plus tope."""
-    neg = frozenset(e for e in range(om.n) if cert.tope[e] < 0)
-    om2 = om.reorient(neg) if neg else om
-    cert2 = mutation_from_basis(om2, cert.basis)
-    if cert2 is None:
-        raise RuntimeError("reorientation lost the mutation")
-    if any(s < 0 for s in cert2.tope):
-        cert2 = MutationCertificate(
-            cert2.basis,
-            tuple((e, -x) for e, x in cert2.base_cocircuits),
-            -cert2.tope,
-        )
-    return om2, cert2, neg
+    """Reorient so the certificate tope is the all-plus tope, and the
+    certificate with it.  The base cocircuits conform to the tope, so
+    they become nonnegative, each + on its own basis element: the
+    normalization `mutation_from_basis` picks on the reoriented oriented
+    matroid, which is the test oracle."""
+    mask = cert.tope.mm
+    neg = frozenset(bits(mask))
+    if not neg:
+        return om, cert, neg
+    cert2 = MutationCertificate(
+        cert.basis,
+        tuple((e, x.reorient(mask)) for e, x in cert.base_cocircuits),
+        cert.tope.reorient(mask),
+    )
+    return om.reorient(neg), cert2, neg
 
 
 @dataclass(frozen=True)
@@ -270,15 +272,12 @@ class DestructionReport:
 
 
 def destruction_check(
-    om: OrientedMatroid,
-    cert: MutationCertificate,
-    f: int,
-    g: int,
-    tail: Optional[Sequence[tuple[int, int]]] = None,
+    om: OrientedMatroid, cert: MutationCertificate, f: int, g: int
 ) -> DestructionReport:
     """Extend by [f^+, g^-, ...] against a mutation containing f but not
-    g: the shifted basis (f' for f) must re-certify, and the old tope
-    picks up extra walls (no longer simplicial for rank >= 3)."""
+    g, the tail being the first r - 2 other elements with sign +: the
+    shifted basis (f' for f) must re-certify, and the old tope picks up
+    extra walls (no longer simplicial for rank >= 3)."""
     if not om.is_uniform():
         raise ExtensionError("uniform oriented matroid required")
     if f not in cert.basis or g in cert.basis or f == g:
@@ -288,11 +287,8 @@ def destruction_check(
     if y[g] != PLUS:
         raise ExtensionError("the f-base cocircuit must have g = +")
     terms = [(f, PLUS), (g, MINUS)]
-    if tail is None:
-        used = {f, g}
-        fill = [e for e in range(om.n) if e not in used]
-        tail = tuple((e, PLUS) for e in fill[: om.rank - 2])
-    terms.extend(tail)
+    fill = [e for e in range(om.n) if e not in (f, g)]
+    terms.extend((e, PLUS) for e in fill[: om.rank - 2])
     ext = lex_extend(om0, LexExtensionSpec(tuple(terms)))
     fp = om0.n
     rest = tuple(e for e in cert.basis if e != f)
@@ -368,11 +364,16 @@ class CommuteReport:
         return self.equal
 
 
+def _flip_shifted(ext: OrientedMatroid, basis: tuple[int, ...], when: str):
+    """Flip a uniform extension at the shifted basis, which the sign
+    test must find to be a mutation."""
+    if not ext.chirotope.is_mutation(mask_of(basis)):
+        raise ExtensionError(f"shifted basis is not a mutation {when}")
+    return flip_basis(ext, basis)
+
+
 def flip_lex_commute_check(
-    om: OrientedMatroid,
-    basis_order: Sequence[int],
-    g: int,
-    alphas: Optional[Sequence[int]] = None,
+    om: OrientedMatroid, basis_order: Sequence[int], g: int
 ) -> CommuteReport:
     """Extending then flipping the shifted mutation agrees (under the
     f <-> f' swap) with flipping first, extending with flipped tail
@@ -383,35 +384,25 @@ def flip_lex_commute_check(
     f, rest = basis_order[0], basis_order[1:]
     if g in basis_order:
         raise ExtensionError("g must avoid the mutation")
-    if alphas is None:
-        alphas = tuple(MINUS for _ in basis_order[2:])
     cert = mutation_from_basis(om, basis_order)
     if cert is None:
         raise ExtensionError(f"{basis_order} is not a mutation basis")
-    om0, cert0, _ = orient_tope_positive(om, cert)
+    om0, _, _ = orient_tope_positive(om, cert)
     fp = om0.n
-    tail = tuple(zip(basis_order[2:], alphas))
-    spec1 = LexExtensionSpec(((f, PLUS), (g, MINUS)) + tail)
-    o_fp = lex_extend(om0, spec1)
-    cert1 = mutation_from_basis(o_fp, (fp,) + rest)
-    if cert1 is None:
-        raise ExtensionError("shifted basis is not a mutation after extension")
-    o_fp_mp = flip(o_fp, cert1)
+    shifted = (fp,) + rest
+    tail = basis_order[2:]
+    spec1 = LexExtensionSpec(((f, PLUS), (g, MINUS)) + tuple((e, MINUS) for e in tail))
+    o_fp_mp = _flip_shifted(lex_extend(om0, spec1), shifted, "after extension")
 
-    o_m = flip(om0, cert0)
-    spec2 = LexExtensionSpec(
-        ((f, PLUS), (g, PLUS)) + tuple((e, -a) for e, a in tail)
-    )
-    o_m_fp = lex_extend(o_m, spec2)
-    cert2 = mutation_from_basis(o_m_fp, (fp,) + rest)
-    if cert2 is None:
-        raise ExtensionError("shifted basis is not a mutation after flip+extension")
-    o_m_fp_mp = flip(o_m_fp, cert2)
+    o_m = flip_basis(om0, basis_order)
+    spec2 = LexExtensionSpec(((f, PLUS), (g, PLUS)) + tuple((e, PLUS) for e in tail))
+    o_m_fp_mp = _flip_shifted(lex_extend(o_m, spec2), shifted, "after flip+extension")
 
     mapped = {v.swap(f, fp) for v in o_m_fp_mp.cocircuits}
     equal = mapped == set(o_fp_mp.cocircuits)
-    m_mut = mutation_from_basis(o_fp_mp, basis_order) is not None
-    mp_mut = mutation_from_basis(o_fp_mp, (fp,) + rest) is not None
+    chi = o_fp_mp.chirotope
+    m_mut = chi.is_mutation(mask_of(basis_order))
+    mp_mut = chi.is_mutation(mask_of(shifted))
     return CommuteReport(equal, o_fp_mp, o_m_fp_mp, m_mut, mp_mut)
 
 
@@ -466,22 +457,20 @@ def mandel_from_euclidean_mutant(
     if cert is None:
         raise ExtensionError(f"{basis_order} is not a mutation basis")
     if check_hypotheses:
-        mutant = flip(om, cert)
+        mutant = flip_basis(om, basis_order)
         if not all_programs_euclidean(mutant):
             raise ExtensionError("the flipped oriented matroid is not Euclidean")
         if om.rank > 4:
             if not all_programs_euclidean(om.contract({f})):
                 raise ExtensionError("om / f is not Euclidean")
-    om0, cert0, neg = orient_tope_positive(om, cert)
+    om0, _, neg = orient_tope_positive(om, cert)
     fp = om0.n
     spec = LexExtensionSpec(
         ((f, PLUS), (g, MINUS)) + tuple((e, MINUS) for e in basis_order[2:])
     )
-    o_fp = lex_extend(om0, spec)
-    cert1 = mutation_from_basis(o_fp, (fp,) + basis_order[1:])
-    if cert1 is None:
-        raise ExtensionError("shifted basis is not a mutation after extension")
-    flipped = flip(o_fp, cert1)
+    flipped = _flip_shifted(
+        lex_extend(om0, spec), (fp,) + basis_order[1:], "after extension"
+    )
     result = flipped.reorient(neg) if neg else flipped
     deletion_ok = result.minor(delete={fp}) == om
     programs = [(e, fp) for e in range(om.n)]

@@ -256,20 +256,26 @@ def adjacent_mutation_count(om: OrientedMatroid, e: int) -> int:
     return sum(1 for b in mutation_bases(om) if e in b)
 
 
-def min_adjacent_mutations(om: OrientedMatroid) -> int:
-    """L statistic: minimum adjacency count over non-loop, non-coloop
-    elements, counted in one pass over the mutation bases."""
+def mutation_adjacency(om: OrientedMatroid) -> dict[int, int]:
+    """Number of mutation bases containing each non-loop, non-coloop
+    element (ascending), counted in one pass over the mutation bases."""
     loops, coloops = om.loops(), om.coloops()
     counts = [0] * om.n
     for b in mutation_bases(om):
         for e in b:
             counts[e] += 1
-    eligible = [
-        c for e, c in enumerate(counts) if e not in loops and e not in coloops
-    ]
-    if not eligible:
+    return {
+        e: c for e, c in enumerate(counts) if e not in loops and e not in coloops
+    }
+
+
+def min_adjacent_mutations(om: OrientedMatroid) -> int:
+    """L statistic: minimum adjacency count over non-loop, non-coloop
+    elements; ValueError when there are none."""
+    adjacency = mutation_adjacency(om)
+    if not adjacency:
         raise ValueError("no eligible elements")
-    return min(eligible)
+    return min(adjacency.values())
 
 
 def flip(om: OrientedMatroid, cert: MutationCertificate) -> OrientedMatroid:

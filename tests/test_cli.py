@@ -175,6 +175,22 @@ def test_summary_cmd(tmp_path, capsys, w3_chi):
     assert payload["rows"]["all"]["min_L"] == 2
 
 
+def test_summary_counts_a_class_without_L(tmp_path, capsys, w3_chi):
+    # r = n makes every element a coloop, so L is undefined: the class is
+    # counted and leaves min_L and max_L to the classes that have one
+    path = tmp_path / "rn.chi"
+    path.write_text("3 3\n+\n")
+    code, payload = run_json(capsys, ["summary", str(path)])
+    assert code == EXIT_OK
+    assert payload["rows"]["all"] == {"count": 1, "min_L": None, "max_L": None}
+    code, payload = run_json(capsys, ["summary", str(path), w3_chi])
+    assert code == EXIT_OK
+    assert payload["rows"]["all"] == {"count": 2, "min_L": 2, "max_L": 2}
+    for cmd in ("classify", "mutations"):
+        code, payload = run_json(capsys, [cmd, str(path)])
+        assert code == EXIT_OK and payload["L"] is None
+
+
 def test_out_file_and_seed(tmp_path, w3_chi, capsys):
     out = tmp_path / "res.json"
     code = run(["--seed", "7", "--out", str(out), "cocircuits", w3_chi])

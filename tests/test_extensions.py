@@ -3,8 +3,15 @@ import random
 
 import pytest
 
-from omforge.core import OrientedMatroid, om_from_points, validate_cocircuit_axioms
-from omforge.corpus import cyclic_om, random_points, w3
+from omforge import core
+from omforge.classify import _verify_lex_witness, mutation_graph_bfs
+from omforge.core import (
+    OrientedMatroid,
+    om_from_points,
+    validate_chirotope,
+    validate_cocircuit_axioms,
+)
+from omforge.corpus import cyclic_om, non_euclidean_848, random_points, w3
 from omforge.extensions import (
     ExtensionError,
     LexExtensionSpec,
@@ -13,9 +20,12 @@ from omforge.extensions import (
     corresponding_cocircuit,
     creation_check,
     destruction_check,
+    extend_by_localization,
     flip_lex_commute_check,
     lex_extend,
+    lex_localization,
     mandel_from_euclidean_mutant,
+    orient_tope_positive,
     pair_kind,
     perturb_extension,
     swap_isomorphism_check,
@@ -46,17 +56,50 @@ def test_w3_extension_cocircuits():
     assert set(ext.cocircuits) == expected
 
 
+def _extension_inputs(seed):
+    """Seeded realizable inputs of ranks 2-5, then the first BFS classes
+    from non_euclidean_848 and from cyclic_om(4,8), which include
+    non-realizable ones."""
+    rng = random.Random(seed)
+    oms = []
+    for r in (2, 3, 4, 5):
+        for _ in range(3):
+            oms.append(om_from_points(random_points(rng, r, r + rng.randint(1, 3))))
+    for seed_om in (non_euclidean_848(), cyclic_om(4, 8)):
+        graph = mutation_graph_bfs(seed_om, max_nodes=12)
+        oms.extend(node.om for node in graph.nodes.values())
+    return rng, oms
+
+
+def _sampled_specs(rng, om, count=3):
+    """Full-length specs with sampled heads, elements and sign patterns."""
+    for _ in range(count):
+        elems = rng.sample(range(om.n), om.rank)
+        signs = [rng.choice((PLUS, MINUS)) for _ in elems]
+        yield LexExtensionSpec(tuple(zip(elems, signs)))
+
+
 def test_routes_agree():
-    rng = random.Random(31)
-    for _ in range(6):
-        r = rng.choice((3, 4))
-        om = om_from_points(random_points(rng, r, r + rng.randint(2, 4)))
-        elems = rng.sample(range(om.n), r)
-        signs = [rng.choice((PLUS, MINUS)) for _ in range(r)]
-        spec = LexExtensionSpec(tuple(zip(elems, signs)))
-        assert lex_extend(om, spec, route="chirotope") == lex_extend(
-            om, spec, route="localization"
-        )
+    # the chirotope route against the localization route, its oracle
+    rng, oms = _extension_inputs(31)
+    for om in oms:
+        for spec in _sampled_specs(rng, om):
+            ext = lex_extend(om, spec)
+            oracle = extend_by_localization(om, lex_localization(om, spec))
+            assert ext.chirotope is not None and oracle.chirotope is None
+            assert ext.cocircuits == oracle.cocircuits
+
+
+def test_lex_extend_chirotopes_are_valid():
+    # the chirotope route skips the Grassmann-Pluecker check: every
+    # chirotope it returns must pass it, and be uniform
+    rng, oms = _extension_inputs(38)
+    for om in oms:
+        for spec in _sampled_specs(rng, om, count=4):
+            chi = lex_extend(om, spec).chirotope
+            assert chi.n == om.n + 1 and chi.rank == om.rank
+            assert validate_chirotope(chi).ok
+            assert chi.is_uniform()
 
 
 def test_extension_realization_oracle():
@@ -81,8 +124,6 @@ def test_partial_spec_localization_route():
     assert ext.n == 7 and ext.rank == 3
     report = validate_cocircuit_axioms(ext.cocircuits, n=7, rank=3)
     assert report.ok
-    with pytest.raises(ExtensionError):
-        lex_extend(om, spec_of((0, PLUS)), route="chirotope")
 
 
 def test_dependent_spec_rejected():
@@ -167,6 +208,24 @@ def test_nonadjacent_mutations_persist():
     for cert in mutations(om):
         if f not in cert.basis:
             assert mutation_from_basis(ext, cert.basis) is not None
+
+
+def test_orient_tope_positive_matches_mutation_from_basis(non_euclidean_om):
+    # the reoriented certificate against the certificate computed afresh
+    # on the reoriented oriented matroid
+    rng = random.Random(39)
+    oms = [non_euclidean_om, cyclic_om(4, 8), w3()]
+    oms.extend(om_from_points(random_points(rng, r, r + 3)) for r in (2, 3, 4, 5))
+    reoriented = 0
+    for om in oms:
+        for cert in mutations(om):
+            om2, cert2, neg = orient_tope_positive(om, cert)
+            assert neg == frozenset(e for e in range(om.n) if cert.tope[e] < 0)
+            assert om2 == om.reorient(neg)
+            assert cert2 == mutation_from_basis(om2, cert.basis)
+            assert all(s > 0 for s in cert2.tope)
+            reoriented += bool(neg)
+    assert reoriented
 
 
 def test_destruction():
@@ -293,6 +352,39 @@ def test_mandel_pipeline_verdicts_match_is_euclidean(non_euclidean_om):
         assert result.deletion_ok == (ext_stripped.minor(delete={fp}) == stripped)
         seen.update(result.program_verdicts.values())
     assert seen == {True, False}
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_extension_checks_derive_no_cocircuits(monkeypatch, non_euclidean_om):
+    # once the input's own cocircuits exist, the lex witness check and
+    # the Mandel pipeline read signs only: no extension, reorientation
+    # or flip derives cocircuits or runs the Grassmann-Pluecker check
+    om = cyclic_om(4, 8)
+    certs = mutations(non_euclidean_om)
+    assert om.cocircuits and non_euclidean_om.cocircuits
+    derived = _count_calls(monkeypatch, core, "_derive_cocircuits")
+    validated = _count_calls(monkeypatch, core, "validate_chirotope")
+    rng = random.Random(40)
+    for spec in _sampled_specs(rng, om, count=8):
+        _verify_lex_witness(om, spec)
+    results = [
+        result
+        for cert in certs
+        for result in _mandel_pipeline_results(non_euclidean_om, cert.basis)
+    ]
+    assert len(results) == 128
+    assert derived == [] and validated == []
 
 
 def test_preservation_lemmas():
