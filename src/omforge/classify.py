@@ -198,6 +198,10 @@ class MutationGraph:
     exhausted_budget: bool
 
     def to_json(self) -> dict:
+        """Per class: depth, chirotope and sorted neighbour keys.  A
+        budget-cut graph (`budget_exhausted`) lists neighbours only for
+        the classes the search expanded before it stopped; the others,
+        like the classes at the depth limit, have an empty list."""
         return {
             "seed": self.seed_key,
             "budget_exhausted": self.exhausted_budget,
@@ -268,8 +272,16 @@ def mutation_graph_bfs(
     """Flip BFS with canonical-form dedup, deterministic order.
 
     node_hook(node) runs once per accepted node, in BFS order; a hook
-    that returns a true value ends the search after that node.  Budget
-    exhaustion is reported, and a partial graph is returned.
+    that returns a true value ends the search after that node.
+
+    The budget is exhausted when a new class is refused because
+    max_nodes classes are already in: the search finishes the node it
+    is expanding, sets `exhausted_budget` and returns a partial graph.
+    The nodes it expanded, a prefix in BFS order, have full neighbour
+    lists; the nodes still queued, and those at max_depth, keep empty
+    ones (a hook that ends the search also cuts its parent's list
+    short).  A budget equal to the closure size refuses no class, so
+    the search runs on and confirms the closure.
 
     A memo from labelled chirotopes (`_labelled`) to keys spares a child
     met before its flip and its key.  Each child keyed afresh enters,
@@ -293,7 +305,7 @@ def mutation_graph_bfs(
     if node_hook is not None and node_hook(root):
         return graph
     queue = deque([root])
-    while queue:
+    while queue and not graph.exhausted_budget:
         node = queue.popleft()
         if max_depth is not None and node.depth >= max_depth:
             continue

@@ -70,7 +70,9 @@ def _common_options(parser: argparse.ArgumentParser, top: bool) -> None:
     parser.add_argument("--out", default=d(None),
                         help="write JSON here instead of stdout")
     parser.add_argument("--max-nodes", type=_budget, default=d(1000),
-                        help="node budget for graph searches")
+                        help="node budget for graph searches; a search that "
+                        "runs out stops, and the classes it did not expand "
+                        "list no neighbours")
     parser.add_argument("--max-candidates", type=_budget, default=d(2000),
                         help="candidate budget for witness searches")
 

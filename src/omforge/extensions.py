@@ -214,9 +214,18 @@ def swap_isomorphism_check(om: OrientedMatroid, spec: LexExtensionSpec) -> bool:
         ((f, a1),) + tuple((e, -a1 * a) for e, a in spec.terms[1:])
     )
     o3 = lex_extend(om, alt)
-    fp = om.n
-    mapped = {x.swap(f, fp) for x in o3.cocircuits}
-    return mapped == set(o2.cocircuits)
+    return _swapped(o3, f, om.n) == o2
+
+
+def _swapped(om: OrientedMatroid, i: int, j: int) -> OrientedMatroid:
+    """om with elements i and j exchanged: its chirotope relabelled by
+    the transposition when it has one, so that equality compares signs
+    (`OrientedMatroid.__eq__`), else its cocircuits swapped."""
+    if om.chirotope is None:
+        return OrientedMatroid(om.n, om.rank, (x.swap(i, j) for x in om.cocircuits))
+    perm = list(range(om.n))
+    perm[i], perm[j] = j, i
+    return OrientedMatroid._from_chirotope(om.chirotope.relabel(perm))
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +407,7 @@ def flip_lex_commute_check(
     spec2 = LexExtensionSpec(((f, PLUS), (g, PLUS)) + tuple((e, PLUS) for e in tail))
     o_m_fp_mp = _flip_shifted(lex_extend(o_m, spec2), shifted, "after flip+extension")
 
-    mapped = {v.swap(f, fp) for v in o_m_fp_mp.cocircuits}
-    equal = mapped == set(o_fp_mp.cocircuits)
+    equal = _swapped(o_m_fp_mp, f, fp) == o_fp_mp
     chi = o_fp_mp.chirotope
     m_mut = chi.is_mutation(mask_of(basis_order))
     mp_mut = chi.is_mutation(mask_of(shifted))

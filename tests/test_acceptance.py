@@ -1,10 +1,21 @@
 """Acceptance gate: every criterion at its stated budget, one
 pass/fail line each (run pytest with -s to watch them stream)."""
 
+import importlib
+
 import pytest
 
-from omforge.acceptance import CRITERIA, AcceptanceContext, DEFAULT_SEED
+from omforge.acceptance import (
+    CRITERIA,
+    AcceptanceContext,
+    DEFAULT_SEED,
+    run_eight_point_campaign,
+)
 from omforge.canonical import canonical_form
+
+# the modules, which the package's functions of the same names shadow
+canonical_module = importlib.import_module("omforge.canonical")
+classify_module = importlib.import_module("omforge.classify")
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +68,20 @@ def test_eight_point_campaign_counts(ctx):
     assert stats["classes"] == 2628
     assert stats["non_euclidean"] == 18
     assert len(ctx.witnesses) == 18
+
+
+def test_cut_campaign_stops_at_its_budget(count_calls):
+    # the search stops once it refuses its 31st class: it keys and flips
+    # the children of the nodes it expanded, not of every queued node
+    # (which took 134 key searches and 133 flips)
+    searches = count_calls(canonical_module, "key_search")
+    flips = count_calls(classify_module, "flip_basis")
+    cut = AcceptanceContext(seed=DEFAULT_SEED, campaign_nodes=30)
+    run_eight_point_campaign(cut)
+    assert cut.campaign_stats["classes"] == 30
+    assert not cut.campaign_stats["closure"]
+    assert len(searches) <= 38
+    assert len(flips) <= 37
 
 
 def test_eight_point_classes_are_closed_under_duality(ctx):

@@ -205,13 +205,21 @@ def from_labelled(r, n, labelled):
 
 
 @pytest.mark.parametrize(
-    "make_seed, classes",
-    [(seeded_cyclic38, 135), (lambda: cyclic_om(4, 8), 300), (non_euclidean_848, 100)],
+    "make_seed, classes, checked",
+    [
+        (seeded_cyclic38, 135, 759),
+        (lambda: cyclic_om(4, 8), 705, 1232),
+        (non_euclidean_848, 280, 632),
+    ],
     ids=["closure38", "cyclic48", "non_euclidean_848"],
 )
-def test_implied_memo_entries_match_keys_from_scratch(monkeypatch, make_seed, classes):
+def test_implied_memo_entries_match_keys_from_scratch(
+    monkeypatch, make_seed, classes, checked
+):
     # every memo entry the BFS takes from a key search's transform or
-    # automorphisms is the key of that labelled chirotope, keyed afresh
+    # automorphisms is the key of that labelled chirotope, keyed afresh;
+    # a cut search stops expanding at its budget, so the budgets are
+    # set to check at least `checked` entries
     entries = {}
     implied = classify_module._implied_entries
 
@@ -226,10 +234,51 @@ def test_implied_memo_entries_match_keys_from_scratch(monkeypatch, make_seed, cl
     graph = mutation_graph_bfs(seed, max_nodes=classes)
     assert len(graph.nodes) == classes
     assert len(entries) > classes
+    assert len(entries) >= checked
     for labelled, key in entries.items():
         chi = from_labelled(seed.rank, seed.n, labelled)
         # the validated chirotope is a flip of a class, keyed from scratch
         assert canonical_form(cocircuits_from_chirotope(chi)) == key
+
+
+def _bfs_rows(graph):
+    return [(key, node.depth, node.neighbors) for key, node in graph.nodes.items()]
+
+
+def assert_cut_is_prefix(cut, full):
+    """cut's nodes and depths are full's first ones, in order; each
+    neighbour list is empty or full's list for that key, and the lists
+    that are not empty come first."""
+    rows, reference = _bfs_rows(cut), _bfs_rows(full)
+    assert [row[:2] for row in rows] == [row[:2] for row in reference[: len(rows)]]
+    expanded = [bool(neighbors) for _, _, neighbors in rows]
+    assert expanded == sorted(expanded, reverse=True)
+    assert expanded[0]  # the root is always expanded
+    for (_, _, neighbors), (_, _, whole) in zip(rows, reference):
+        assert neighbors in ([], whole)
+    return expanded
+
+
+def test_cut_search_is_a_prefix_of_the_closure():
+    seed = seeded_cyclic38()
+    closure = mutation_graph_bfs(seed)
+    assert len(closure.nodes) == 135 and not closure.exhausted_budget
+    assert all(node.neighbors for node in closure.nodes.values())
+    for budget in (1, 2, 30, 134, 135, 136):
+        cut = mutation_graph_bfs(seed, max_nodes=budget)
+        k = min(budget, 135)
+        assert len(cut.nodes) == k
+        assert cut.exhausted_budget == (k < 135)
+        expanded = assert_cut_is_prefix(cut, closure)
+        assert all(expanded) or k < 135
+
+
+def test_rank4_cut_search_is_a_prefix_of_a_larger_cut():
+    small = mutation_graph_bfs(cyclic_om(4, 8), max_nodes=40)
+    large = mutation_graph_bfs(cyclic_om(4, 8), max_nodes=300)
+    assert small.exhausted_budget and large.exhausted_budget
+    assert len(small.nodes) == 40
+    assert_cut_is_prefix(small, large)
 
 
 def test_closure_r3n8_keys_each_edge_once(monkeypatch):

@@ -159,6 +159,23 @@ def test_mutation_graph_budget(tmp_path, capsys):
     assert len(payload["nodes"]) == 4
 
 
+def test_cut_mutation_graph_lists(tmp_path, capsys):
+    # a cut search expands the root and stops: its list is the closure's,
+    # and every other list is empty or the closure's
+    seed = tmp_path / "c38.chi"
+    write_chi(seed, cyclic_om(3, 8).chirotope)
+    code, full = run_json(capsys, ["--max-nodes", "200", "mutation-graph", str(seed)])
+    assert code == EXIT_OK and len(full["nodes"]) == 135
+    code, cut = run_json(capsys, ["--max-nodes", "5", "mutation-graph", str(seed)])
+    assert code == EXIT_UNDETERMINED
+    assert cut["budget_exhausted"]
+    assert len(cut["nodes"]) == 5
+    (root,) = [key for key, node in cut["nodes"].items() if node["depth"] == 0]
+    assert cut["nodes"][root]["neighbors"] == full["nodes"][root]["neighbors"]
+    for key, node in cut["nodes"].items():
+        assert node["neighbors"] in ([], full["nodes"][key]["neighbors"])
+
+
 def test_classify_cmd(tmp_path, capsys):
     seed = tmp_path / "c36.chi"
     write_chi(seed, cyclic_om(3, 6).chirotope)

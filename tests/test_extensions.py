@@ -17,6 +17,7 @@ from omforge.extensions import (
     LexExtensionSpec,
     PerturbationError,
     _mandel_pipeline_results,
+    _swapped,
     corresponding_cocircuit,
     creation_check,
     destruction_check,
@@ -176,6 +177,68 @@ def test_swap_isomorphism():
     om = om_from_points(random_points(rng, 3, 6))
     spec = spec_of((1, PLUS), (3, MINUS), (5, PLUS))
     assert swap_isomorphism_check(om, spec)
+
+
+def _swap_inputs():
+    """Seeded uniform realizable inputs of ranks 2-4, the first BFS
+    classes from non_euclidean_848, and copies of the first two without
+    their chirotopes."""
+    rng = random.Random(41)
+    oms = [
+        om_from_points(random_points(rng, r, r + rng.randint(2, 4)))
+        for r in (2, 3, 3, 4, 4)
+    ]
+    graph = mutation_graph_bfs(non_euclidean_848(), max_nodes=8)
+    oms.extend(node.om for node in graph.nodes.values())
+    oms.extend(OrientedMatroid(om.n, om.rank, om.cocircuits) for om in oms[:2])
+    return rng, oms
+
+
+def _swapped_cocircuits_equal(a, b, i, j):
+    """The cocircuit comparison: a with i and j exchanged is b."""
+    return {x.swap(i, j) for x in a.cocircuits} == set(b.cocircuits)
+
+
+def test_swap_comparison_matches_cocircuits():
+    # the chirotope comparison against the cocircuit one, on the pairs
+    # the swap check compares and on pairs with one tail sign changed
+    rng, oms = _swap_inputs()
+    answers = set()
+    for om in oms:
+        for spec in _sampled_specs(rng, om):
+            (f, a1), rest = spec.terms[0], spec.terms[1:]
+            o2 = lex_extend(om, spec)
+            alt = ((f, a1),) + tuple((e, -a1 * a) for e, a in rest)
+            bent = alt[:-1] + ((alt[-1][0], -alt[-1][1]),)
+            o3s = [lex_extend(om, LexExtensionSpec(terms)) for terms in (alt, bent)]
+            assert swap_isomorphism_check(om, spec) == (
+                _swapped_cocircuits_equal(o3s[0], o2, f, om.n)
+            )
+            for o3 in o3s:
+                equal = _swapped(o3, f, om.n) == o2
+                assert equal == _swapped_cocircuits_equal(o3, o2, f, om.n)
+                answers.add(equal)
+    assert answers == {True, False}
+
+
+def test_commute_check_matches_cocircuits():
+    # the commute check's verdict against the cocircuit comparison of
+    # the two oriented matroids it reports
+    rng, oms = _swap_inputs()
+    checked = 0
+    for om in oms:
+        if om.chirotope is None:
+            continue
+        for cert in mutations(om)[:3]:
+            g = rng.choice([e for e in range(om.n) if e not in cert.basis])
+            report = flip_lex_commute_check(om, cert.basis, g)
+            assert report.equal
+            assert _swapped_cocircuits_equal(
+                report.flip_then_extend_then_flip, report.extend_then_flip,
+                cert.basis[0], om.n,
+            )
+            checked += 1
+    assert checked >= 20
 
 
 def test_swap_isomorphism_needs_general_position():
@@ -354,36 +417,31 @@ def test_mandel_pipeline_verdicts_match_is_euclidean(non_euclidean_om):
     assert seen == {True, False}
 
 
-def _count_calls(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-
-    def counting(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
-
-
-def test_extension_checks_derive_no_cocircuits(monkeypatch, non_euclidean_om):
-    # once the input's own cocircuits exist, the lex witness check and
-    # the Mandel pipeline read signs only: no extension, reorientation
-    # or flip derives cocircuits or runs the Grassmann-Pluecker check
+def test_extension_checks_derive_no_cocircuits(count_calls, non_euclidean_om):
+    # once the input's own cocircuits exist, the lex witness check, the
+    # Mandel pipeline, the swap isomorphism check and the flip/extension
+    # exchange check read signs only: no extension, reorientation, flip
+    # or relabelling derives cocircuits or runs the Grassmann-Pluecker
+    # check
     om = cyclic_om(4, 8)
     certs = mutations(non_euclidean_om)
     assert om.cocircuits and non_euclidean_om.cocircuits
-    derived = _count_calls(monkeypatch, core, "_derive_cocircuits")
-    validated = _count_calls(monkeypatch, core, "validate_chirotope")
+    derived = count_calls(core, "_derive_cocircuits")
+    validated = count_calls(core, "validate_chirotope")
     rng = random.Random(40)
     for spec in _sampled_specs(rng, om, count=8):
         _verify_lex_witness(om, spec)
+        swap_isomorphism_check(om, spec)
     results = [
         result
         for cert in certs
         for result in _mandel_pipeline_results(non_euclidean_om, cert.basis)
     ]
     assert len(results) == 128
+    for source in (om, non_euclidean_om):
+        for cert in mutations(source):
+            g = next(e for e in range(source.n) if e not in cert.basis)
+            assert flip_lex_commute_check(source, cert.basis, g).equal
     assert derived == [] and validated == []
 
 
