@@ -13,8 +13,7 @@ om = f.om_from_points([[t**k for k in range(4)] for t in range(1, 9)])
 
 certs = f.mutations(om)
 print("mutations of cyclic C(4,8):", [c.basis for c in certs])
-print("per-element adjacency:",
-      {e: f.adjacent_mutation_count(om, e) for e in range(8)})
+print("per-element adjacency:", f.mutation_adjacency(om))
 print("L = min adjacency:", f.min_adjacent_mutations(om),
       "(Shannon: rank for realizable arrangements; tight here)")
 
@@ -24,13 +23,13 @@ print("  tope:", cert.tope.to_string())
 for e, x in cert.base_cocircuits:
     print(f"  base cocircuit at {e}: {x.to_string()}")
 
-# flip: negate that one basis orientation and rebuild
+# flip: negate that one basis orientation (by certificate or by basis)
 mutant = f.flip(om, cert)
 print("\nflip changes exactly one basis sign:",
       sum(mutant.chirotope.basis_sign(b) != om.chirotope.basis_sign(b)
           for b in __import__("itertools").combinations(range(8), 4)))
 print("flip twice returns the original:",
-      f.flip(mutant, f.mutation_from_basis(mutant, cert.basis)) == om)
+      f.flip_basis(mutant, cert.basis) == om)
 
 # canonical keys tell classes apart under relabeling + reorientation
 print("\ncanonical keys differ:",
@@ -45,4 +44,4 @@ print("BFS found", len(graph.nodes), "classes (budget 25);",
 w3 = f.om_from_points([[1, 1], [1, 2], [1, 3]])
 s = w3.direct_sum(w3)
 print("\nW3 + W3 mutations:", len(f.mutations(s)),
-      "| each element adjacent to", f.adjacent_mutation_count(s, 0))
+      "| adjacency per element:", f.mutation_adjacency(s))

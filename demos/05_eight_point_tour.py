@@ -39,10 +39,9 @@ print("classification:", {
 })
 
 # run the pipeline by hand: pick a mutation whose flip is Euclidean
-for cert in f.mutations(bad):
-    if f.all_programs_euclidean(f.flip(bad, cert)):
-        order = cert.basis
-        g = next(e for e in range(8) if e not in cert.basis)
+for order in f.mutation_bases(bad):
+    if f.all_programs_euclidean(f.flip_basis(bad, order)):
+        g = next(e for e in range(8) if e not in order)
         result = f.mandel_from_euclidean_mutant(bad, order, g)
         print("\npipeline on mutation", order, "with g =", g)
         print("  deleting the new element recovers the input:",

@@ -44,7 +44,6 @@ from .extensions import (
 from .faces import (
     MutationCertificate,
     adjacent_cocircuits,
-    adjacent_mutation_count,
     flip,
     flip_basis,
     is_simplicial_tope,

@@ -27,9 +27,9 @@ from .extensions import (
     swap_isomorphism_check,
 )
 from .faces import (
-    adjacent_mutation_count,
-    flip,
-    min_adjacent_mutations,
+    flip_basis,
+    mutation_adjacency,
+    mutation_bases,
     mutation_from_basis,
     mutations,
 )
@@ -142,11 +142,11 @@ def criterion_2_shannon(ctx: AcceptanceContext) -> CriterionResult:
     def run():
         tight = False
         for _, om in ctx.corpus():
-            for e in range(om.n):
-                if adjacent_mutation_count(om, e) < om.rank:
+            adjacency = mutation_adjacency(om)
+            for e, count in adjacency.items():
+                if count < om.rank:
                     return False, f"element {e} of {om} has < rank adjacent mutations"
-            if min_adjacent_mutations(om) == om.rank:
-                tight = True
+            tight = tight or min(adjacency.values()) == om.rank
         if not tight:
             return False, "no instance achieved the minimum L = rank"
         return True, f"all {len(ctx.corpus())} instances have L >= rank; minimum attained"
@@ -171,8 +171,8 @@ def criterion_4_rank3_universality(ctx: AcceptanceContext) -> CriterionResult:
         for key, node in graph.nodes.items():
             if not all_programs_euclidean(node.om):
                 return False, f"rank-3 class {key} has a non-Euclidean program"
-            for e in range(node.om.n):
-                if adjacent_mutation_count(node.om, e) < 3:
+            for e, count in mutation_adjacency(node.om).items():
+                if count < 3:
                     return False, f"rank-3 class {key}: element {e} has < 3 mutations"
         return True, f"{len(graph.nodes)} rank-3 classes all Euclidean with L >= 3"
 
@@ -256,15 +256,15 @@ def criterion_6_preservation(ctx: AcceptanceContext) -> CriterionResult:
         if ctx._campaign_done:
             pool.extend(om for om, _, _, _ in ctx.witnesses[:10])
         for om in pool:
-            certs = mutations(om)
-            if not certs:
+            bases = mutation_bases(om)
+            if not bases:
                 continue
-            cert = certs[rng.randrange(len(certs))]
-            fx = cert.basis[rng.randrange(len(cert.basis))]
-            outs = [g for g in range(om.n) if g not in cert.basis]
+            basis = bases[rng.randrange(len(bases))]
+            fx = basis[rng.randrange(len(basis))]
+            outs = [g for g in range(om.n) if g not in basis]
             g = outs[rng.randrange(len(outs))]
             before = is_euclidean(Program(om, g, fx)).euclidean
-            after = is_euclidean(Program(flip(om, cert), g, fx)).euclidean
+            after = is_euclidean(Program(flip_basis(om, basis), g, fx)).euclidean
             if before != after:
                 return False, f"(b) flip changed verdict of (g={g}, f={fx})"
             checked_b += 1
@@ -320,8 +320,8 @@ def criterion_7_min_mutations(ctx: AcceptanceContext) -> CriterionResult:
         if not pool:
             return False, "no Euclidean uniform rank-4 instances registered"
         for om in pool:
-            for e in range(om.n):
-                if adjacent_mutation_count(om, e) < 3:
+            for e, count in mutation_adjacency(om).items():
+                if count < 3:
                     return False, f"element {e} has < 3 adjacent mutations on {om}"
         return True, f"L >= 3 on {len(pool)} Euclidean uniform rank-4 instances"
 
@@ -366,15 +366,14 @@ def run_eight_point_campaign(ctx: AcceptanceContext) -> None:
         g, fx = next(pair for pair, ok in program_verdicts(om).items() if not ok)
         ctx.witnesses.append((om, g, fx, is_euclidean(Program(om, g, fx)).witness))
         # Euclidean mutant at distance one, then the Mandel pipeline
-        mutant_cert = None
-        for cert in mutations(om):
-            if all_programs_euclidean(flip(om, cert)):
-                mutant_cert = cert
-                break
-        if mutant_cert is None:
+        mutation = next(
+            (b for b in mutation_bases(om) if all_programs_euclidean(flip_basis(om, b))),
+            None,
+        )
+        if mutation is None:
             stats["b_failures"].append(node.key)
             return
-        results = _mandel_pipeline_results(om, mutant_cert.basis)
+        results = _mandel_pipeline_results(om, mutation)
         if not any(result.ok for result in results):
             stats["c_failures"].append(node.key)
 
@@ -470,8 +469,8 @@ def criterion_10_direct_sum(ctx: AcceptanceContext) -> CriterionResult:
             return False, f"W3+W3 has {len(certs)} mutations, expected 9"
         if len(certs) < 3 * om.n - 9:
             return False, "mutation count below 3n-9"
-        for e in range(om.n):
-            if adjacent_mutation_count(om, e) != 6:
+        for e, count in mutation_adjacency(om).items():
+            if count != 6:
                 return False, f"element {e} adjacency != 2*3"
         return True, "W3+W3: 9 = 3*3 mutations >= 3n-9, per-element adjacency 6"
 

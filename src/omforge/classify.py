@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .canonical import canonical_form, canonical_search
-from .core import OrientedMatroid
+from .core import OrientedMatroid, chirotope_from_cocircuits, validate_chirotope
 from .extensions import LexExtensionSpec, _mandel_pipeline_results, lex_extend
-from .faces import flip, flip_basis, mutation_adjacency, mutation_bases, mutations
+from .faces import flip_basis, mutation_adjacency, mutation_bases
 from .programs import _verdicts, all_programs_euclidean, has_euclidean_program
 from .signs import PLUS, bits, mask_of
 
@@ -64,32 +64,31 @@ def mandel_witness_search(
     om: OrientedMatroid, budget: int = 2000
 ) -> Optional[MandelWitness]:
     """Search for an extension in general position making all programs
-    with it Euclidean.  Order: single lex spec for Euclidean input, the
-    Euclidean-mutant flip pipeline, then brute lexicographic search.
+    with it Euclidean; each candidate costs one unit of the budget.  A
+    non-Euclidean input first tries the flip pipeline at each mutation
+    basis whose flip is Euclidean; then come the lexicographic specs,
+    from 0:+,1:+,...,(r-1):+ on.  Cocircuits alone are searched on their
+    recovered chirotope when it is valid and gives them back.
     Returns None when the budget runs out (undetermined, not a no)."""
     if not om.is_uniform():
         raise ValueError("witness search implemented for uniform oriented matroids")
     if budget <= 0:
         return None
+    if om.chirotope is None:
+        chi = chirotope_from_cocircuits(om)
+        recovered = OrientedMatroid._from_chirotope(chi)
+        if validate_chirotope(chi).ok and recovered.cocircuits == om.cocircuits:
+            om = recovered
     spent = 0
-    if all_programs_euclidean(om):
-        spec = LexExtensionSpec(tuple((e, PLUS) for e in range(om.rank)))
-        if _verify_lex_witness(om, spec):
-            return MandelWitness("lex", spec=spec)
-        spent += 1
-    else:
-        # fast path: one flip away from a Euclidean mutant
-        for cert in mutations(om):
+    if om.chirotope is not None and not all_programs_euclidean(om):
+        # one flip away from a Euclidean mutant
+        for basis in mutation_bases(om):
             if spent >= budget:
                 return None
             spent += 1
-            try:
-                mutant = flip(om, cert)
-            except ValueError:
+            if not all_programs_euclidean(flip_basis(om, basis)):
                 continue
-            if not all_programs_euclidean(mutant):
-                continue
-            for result in _mandel_pipeline_results(om, cert.basis):
+            for result in _mandel_pipeline_results(om, basis):
                 if result.ok:
                     return MandelWitness(
                         "flip-pipeline", spec=result.spec,
@@ -198,12 +197,13 @@ class MutationGraph:
     exhausted_budget: bool
 
     def to_json(self) -> dict:
-        """Per class: depth, chirotope and sorted neighbour keys.  A
-        budget-cut graph (`budget_exhausted`) lists neighbours only for
-        the classes the search expanded before it stopped; the others,
-        like the classes at the depth limit, have an empty list."""
+        """The seed class's key, and per class: depth, chirotope and
+        sorted neighbour keys.  A budget-cut graph (`budget_exhausted`)
+        lists neighbours only for the classes the search expanded before
+        it stopped; the others, like the classes at the depth limit, have
+        an empty list."""
         return {
-            "seed": self.seed_key,
+            "seed_key": self.seed_key,
             "budget_exhausted": self.exhausted_budget,
             "nodes": {
                 k: {

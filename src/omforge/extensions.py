@@ -202,19 +202,20 @@ def corresponding_cocircuit(
 
 
 def swap_isomorphism_check(om: OrientedMatroid, spec: LexExtensionSpec) -> bool:
-    """Exchanging the head sign pattern (a_2.. -> -a_1*a_2..) swaps the
-    roles of the head element and the new one."""
+    """Negating the tail signs swaps the roles of the head element f and
+    the new one p: om[f^a1, e2^-a2, ...] with f and p exchanged is
+    om[f^a1, e2^a2, ...], after reorienting both f and p when a1 = -."""
     if not om.is_uniform():
         raise ExtensionError("uniform oriented matroid required")
     f, a1 = spec.terms[0]
     if not om.is_general_position(f):
         raise ExtensionError("head element must be in general position")
     o2 = lex_extend(om, spec)
-    alt = LexExtensionSpec(
-        ((f, a1),) + tuple((e, -a1 * a) for e, a in spec.terms[1:])
-    )
-    o3 = lex_extend(om, alt)
-    return _swapped(o3, f, om.n) == o2
+    alt = LexExtensionSpec(((f, a1),) + tuple((e, -a) for e, a in spec.terms[1:]))
+    o3 = _swapped(lex_extend(om, alt), f, om.n)
+    if a1 == MINUS:
+        o3 = o3.reorient({f, om.n})
+    return o3 == o2
 
 
 def _swapped(om: OrientedMatroid, i: int, j: int) -> OrientedMatroid:
@@ -381,27 +382,45 @@ def _flip_shifted(ext: OrientedMatroid, basis: tuple[int, ...], when: str):
     return flip_basis(ext, basis)
 
 
+def _extend_then_flip(
+    om: OrientedMatroid, basis_order: tuple[int, ...], g: int, check_hypotheses: bool
+):
+    """The guards, then om reoriented so that the mutation basis_order =
+    (f, e2, ..., er) has the all-plus tope, extended by
+    [f+, g-, e3-, ..., er-] and flipped at (f', e2, ..., er).  Returns the
+    reoriented om, its reoriented elements, the spec and the flip."""
+    if not om.is_uniform() or om.chirotope is None:
+        raise ExtensionError("uniform oriented matroid with chirotope required")
+    f = basis_order[0]
+    if g in basis_order:
+        raise ExtensionError("g must avoid the mutation")
+    cert = mutation_from_basis(om, basis_order)
+    if cert is None:
+        raise ExtensionError(f"{basis_order} is not a mutation basis")
+    if check_hypotheses:
+        if not all_programs_euclidean(flip_basis(om, basis_order)):
+            raise ExtensionError("the flipped oriented matroid is not Euclidean")
+        if om.rank > 4 and not all_programs_euclidean(om.contract({f})):
+            raise ExtensionError("om / f is not Euclidean")
+    om0, _, neg = orient_tope_positive(om, cert)
+    spec = LexExtensionSpec(
+        ((f, PLUS), (g, MINUS)) + tuple((e, MINUS) for e in basis_order[2:])
+    )
+    shifted = (om.n,) + basis_order[1:]
+    flipped = _flip_shifted(lex_extend(om0, spec), shifted, "after extension")
+    return om0, neg, spec, flipped
+
+
 def flip_lex_commute_check(
     om: OrientedMatroid, basis_order: Sequence[int], g: int
 ) -> CommuteReport:
     """Extending then flipping the shifted mutation agrees (under the
     f <-> f' swap) with flipping first, extending with flipped tail
     signs, and flipping again."""
-    if not om.is_uniform() or om.chirotope is None:
-        raise ExtensionError("uniform oriented matroid with chirotope required")
     basis_order = tuple(basis_order)
-    f, rest = basis_order[0], basis_order[1:]
-    if g in basis_order:
-        raise ExtensionError("g must avoid the mutation")
-    cert = mutation_from_basis(om, basis_order)
-    if cert is None:
-        raise ExtensionError(f"{basis_order} is not a mutation basis")
-    om0, _, _ = orient_tope_positive(om, cert)
-    fp = om0.n
-    shifted = (fp,) + rest
-    tail = basis_order[2:]
-    spec1 = LexExtensionSpec(((f, PLUS), (g, MINUS)) + tuple((e, MINUS) for e in tail))
-    o_fp_mp = _flip_shifted(lex_extend(om0, spec1), shifted, "after extension")
+    om0, _, _, o_fp_mp = _extend_then_flip(om, basis_order, g, False)
+    f, fp, tail = basis_order[0], om.n, basis_order[2:]
+    shifted = (fp,) + basis_order[1:]
 
     o_m = flip_basis(om0, basis_order)
     spec2 = LexExtensionSpec(((f, PLUS), (g, PLUS)) + tuple((e, PLUS) for e in tail))
@@ -455,30 +474,9 @@ def mandel_from_euclidean_mutant(
     mutation.  Hypotheses: the flip of the mutation is Euclidean, and
     om/f is Euclidean (automatic in rank 4, checked above that).
     """
-    if not om.is_uniform() or om.chirotope is None:
-        raise ExtensionError("uniform oriented matroid with chirotope required")
     basis_order = tuple(basis_order)
-    f = basis_order[0]
-    if g in basis_order:
-        raise ExtensionError("g must avoid the mutation")
-    cert = mutation_from_basis(om, basis_order)
-    if cert is None:
-        raise ExtensionError(f"{basis_order} is not a mutation basis")
-    if check_hypotheses:
-        mutant = flip_basis(om, basis_order)
-        if not all_programs_euclidean(mutant):
-            raise ExtensionError("the flipped oriented matroid is not Euclidean")
-        if om.rank > 4:
-            if not all_programs_euclidean(om.contract({f})):
-                raise ExtensionError("om / f is not Euclidean")
-    om0, _, neg = orient_tope_positive(om, cert)
-    fp = om0.n
-    spec = LexExtensionSpec(
-        ((f, PLUS), (g, MINUS)) + tuple((e, MINUS) for e in basis_order[2:])
-    )
-    flipped = _flip_shifted(
-        lex_extend(om0, spec), (fp,) + basis_order[1:], "after extension"
-    )
+    _, neg, spec, flipped = _extend_then_flip(om, basis_order, g, check_hypotheses)
+    fp = om.n
     result = flipped.reorient(neg) if neg else flipped
     deletion_ok = result.minor(delete={fp}) == om
     programs = [(e, fp) for e in range(om.n)]

@@ -251,11 +251,6 @@ def mutation_bases(om: OrientedMatroid) -> tuple[tuple[int, ...], ...]:
     return om._mutation_bases
 
 
-def adjacent_mutation_count(om: OrientedMatroid, e: int) -> int:
-    """Number of mutation bases containing the element."""
-    return sum(1 for b in mutation_bases(om) if e in b)
-
-
 def mutation_adjacency(om: OrientedMatroid) -> dict[int, int]:
     """Number of mutation bases containing each non-loop, non-coloop
     element (ascending), counted in one pass over the mutation bases."""

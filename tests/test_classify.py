@@ -14,12 +14,18 @@ from omforge.classify import (
     mutation_graph_bfs,
     summary_table,
 )
-from omforge.core import Chirotope, cocircuits_from_chirotope, om_from_points
+from omforge.core import (
+    Chirotope,
+    OrientedMatroid,
+    chirotope_from_cocircuits,
+    cocircuits_from_chirotope,
+    om_from_points,
+)
 from omforge.corpus import cyclic_om, non_euclidean_848, random_points, w3
 from omforge.extensions import lex_extend
-from omforge.faces import flip, mutation_from_basis, mutations
+from omforge.faces import flip, flip_basis, mutation_bases, mutation_from_basis, mutations
 from omforge.programs import Program, all_programs_euclidean, is_euclidean
-from omforge.signs import mask_of
+from omforge.signs import SignVector, mask_of
 
 # the modules, which the package's functions of the same names shadow
 canonical_module = importlib.import_module("omforge.canonical")
@@ -50,6 +56,52 @@ def test_mandel_witness_euclidean_first_candidate():
 
 def test_mandel_witness_zero_budget_undetermined():
     assert mandel_witness_search(cyclic_om(3, 6), budget=0) is None
+
+
+def test_mandel_witness_budget_one_euclidean():
+    # one unit of budget buys the first lexicographic candidate
+    for om in (cyclic_om(3, 6), cyclic_om(4, 8)):
+        witness = mandel_witness_search(om, budget=1)
+        assert witness.kind == "lex"
+        assert witness.spec.to_string() == ",".join(f"{e}:+" for e in range(om.rank))
+
+
+def test_mandel_witness_budget_runs_out_in_flip_phase():
+    # relabelled so that the first mutation basis flips to a
+    # non-Euclidean class: budget 1 is spent on that basis, budget 2
+    # reaches the next one, whose flip pipeline gives the witness
+    chi = non_euclidean_848().chirotope.relabel([0, 4, 5, 6, 1, 2, 3, 7])
+    om = cocircuits_from_chirotope(chi)
+    first, second = mutation_bases(om)[:2]
+    assert not all_programs_euclidean(flip_basis(om, first))
+    assert all_programs_euclidean(flip_basis(om, second))
+    assert mandel_witness_search(om, budget=1) is None
+    witness = mandel_witness_search(om, budget=2)
+    assert witness.kind == "flip-pipeline" and witness.mutation == second
+
+
+def test_mandel_witness_from_cocircuits_alone(non_euclidean_om):
+    # a uniform class given by its cocircuits is searched on its
+    # recovered chirotope, and gets the chirotope's witness and report
+    om = non_euclidean_om
+    bare = OrientedMatroid(om.n, om.rank, om.cocircuits)
+    assert bare.chirotope is None
+    assert mandel_witness_search(bare, budget=5) == mandel_witness_search(om)
+    assert classify(bare).to_json() == classify(om).to_json()
+
+
+def test_mandel_witness_ignores_a_recovery_that_changes_cocircuits():
+    # one sign changed in one cocircuit pair: not an oriented matroid, but
+    # its recovered chirotope is valid (it is non_euclidean_848's), so
+    # only the cocircuit comparison keeps the search off that chirotope
+    src = non_euclidean_848()
+    x = src.sorted_cocircuits()[0]
+    y = SignVector(x.n, x.pm ^ 1, x.mm ^ 1)
+    bad = OrientedMatroid(src.n, src.rank, (src.cocircuits - {x, -x}) | {y, -y})
+    recovered = cocircuits_from_chirotope(chirotope_from_cocircuits(bad))
+    assert recovered.cocircuits != bad.cocircuits
+    assert mandel_witness_search(recovered, budget=5) is not None
+    assert mandel_witness_search(bad, budget=5) is None
 
 
 def test_mandel_witness_non_euclidean(non_euclidean_om):

@@ -80,6 +80,22 @@ def test_euclidean_all_chi_matches_ccj(tmp_path, capsys):
     assert from_chi["euclidean_all_programs"] is False
 
 
+def test_classify_chi_matches_ccj(tmp_path, capsys):
+    # the .ccj is searched on its recovered chirotope, so both files get
+    # the same report, flip-pipeline witness included
+    om = non_euclidean_848()
+    write_chi(tmp_path / "ne.chi", om.chirotope)
+    write_ccj(tmp_path / "ne.ccj", om)
+    runs = [
+        run_json(capsys, ["classify", str(tmp_path / name), "--max-candidates", "200"])
+        for name in ("ne.chi", "ne.ccj")
+    ]
+    assert runs[0] == runs[1]
+    code, payload = runs[0]
+    assert code == EXIT_OK
+    assert payload["mandel_witness"]["kind"] == "flip-pipeline"
+
+
 def test_topes_chi_matches_ccj(tmp_path, capsys):
     om = non_euclidean_848()
     write_chi(tmp_path / "ne.chi", om.chirotope)
@@ -174,6 +190,17 @@ def test_cut_mutation_graph_lists(tmp_path, capsys):
     assert cut["nodes"][root]["neighbors"] == full["nodes"][root]["neighbors"]
     for key, node in cut["nodes"].items():
         assert node["neighbors"] in ([], full["nodes"][key]["neighbors"])
+
+
+def test_mutation_graph_keeps_seed_key(tmp_path, capsys):
+    # the seed class key sits under seed_key; seed is the RNG seed
+    seed = tmp_path / "c36.chi"
+    write_chi(seed, cyclic_om(3, 6).chirotope)
+    code, payload = run_json(capsys, ["--seed", "5", "mutation-graph", str(seed)])
+    assert code == EXIT_OK
+    assert payload["seed"] == 5
+    assert payload["nodes"][payload["seed_key"]]["depth"] == 0
+    assert len(payload["nodes"]) == 4
 
 
 def test_classify_cmd(tmp_path, capsys):

@@ -208,9 +208,11 @@ def test_swap_comparison_matches_cocircuits():
         for spec in _sampled_specs(rng, om):
             (f, a1), rest = spec.terms[0], spec.terms[1:]
             o2 = lex_extend(om, spec)
-            alt = ((f, a1),) + tuple((e, -a1 * a) for e, a in rest)
+            alt = ((f, a1),) + tuple((e, -a) for e, a in rest)
             bent = alt[:-1] + ((alt[-1][0], -alt[-1][1]),)
             o3s = [lex_extend(om, LexExtensionSpec(terms)) for terms in (alt, bent)]
+            if a1 == MINUS:
+                o3s = [o3.reorient({f, om.n}) for o3 in o3s]
             assert swap_isomorphism_check(om, spec) == (
                 _swapped_cocircuits_equal(o3s[0], o2, f, om.n)
             )
@@ -219,6 +221,29 @@ def test_swap_comparison_matches_cocircuits():
                 assert equal == _swapped_cocircuits_equal(o3, o2, f, om.n)
                 answers.add(equal)
     assert answers == {True, False}
+
+
+def test_swap_isomorphism_both_head_signs():
+    # om[f^a1, e2^-a2, ...] with f and the new element exchanged, and
+    # both reoriented when a1 = -, is om[f^a1, e2^a2, ...]: full and
+    # partial specs, with and without a chirotope, and on cyclic_om(4,8)
+    rng, oms = _swap_inputs()
+    oms.append(cyclic_om(4, 8))
+    plain = set()
+    for om in oms:
+        for spec in _sampled_specs(rng, om, count=2):
+            f, rest = spec.terms[0][0], spec.terms[1:]
+            for a1 in (PLUS, MINUS):
+                for k in range(1, om.rank):
+                    terms = ((f, a1),) + rest[:k]
+                    assert swap_isomorphism_check(om, LexExtensionSpec(terms))
+                    if a1 == MINUS:
+                        # without the reorientation the swap fails
+                        alt = ((f, a1),) + tuple((e, -a) for e, a in rest[:k])
+                        o3 = lex_extend(om, LexExtensionSpec(alt))
+                        o2 = lex_extend(om, LexExtensionSpec(terms))
+                        plain.add(_swapped_cocircuits_equal(o3, o2, f, om.n))
+    assert plain == {False}
 
 
 def test_commute_check_matches_cocircuits():

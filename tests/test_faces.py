@@ -17,13 +17,13 @@ from omforge.corpus import cyclic_om, non_euclidean_848, random_points, w3
 from omforge.extensions import LexExtensionSpec, destruction_check, lex_extend
 from omforge.faces import (
     adjacent_cocircuits,
-    adjacent_mutation_count,
     certificate_topes,
     flip,
     flip_basis,
     is_simplicial_tope,
     is_tope,
     min_adjacent_mutations,
+    mutation_adjacency,
     mutation_bases,
     mutation_from_basis,
     mutations,
@@ -98,7 +98,7 @@ def test_mutation_nonbasis_rejected():
 
 def test_w3_mutations():
     assert {c.basis for c in mutations(w3())} == {(0, 1), (0, 2), (1, 2)}
-    assert all(adjacent_mutation_count(w3(), e) == 2 for e in range(3))
+    assert mutation_adjacency(w3()) == {0: 2, 1: 2, 2: 2}
     assert min_adjacent_mutations(w3()) == 2
 
 
@@ -199,12 +199,14 @@ def test_realizable_rank3_at_least_n_mutations():
     rng = random.Random(14)
     om = om_from_points(random_points(rng, 3, 6))
     assert len(mutations(om)) >= om.n
-    assert all(adjacent_mutation_count(om, e) >= 3 for e in range(om.n))
+    adjacency = mutation_adjacency(om)
+    assert sorted(adjacency) == list(range(om.n))
+    assert all(count >= 3 for count in adjacency.values())
 
 
 def test_cyclic_c48_shannon_tight():
     om = cyclic_om(4, 8)
-    assert all(adjacent_mutation_count(om, e) >= 4 for e in range(8))
+    assert mutation_adjacency(om) == dict.fromkeys(range(8), 4)
     assert min_adjacent_mutations(om) == 4
 
 
