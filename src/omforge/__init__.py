@@ -20,6 +20,7 @@ from .classify import (
 from .core import (
     Chirotope,
     InvalidChirotope,
+    InvalidCocircuits,
     OrientedMatroid,
     ValidationReport,
     chirotope_from_cocircuits,

@@ -25,9 +25,11 @@ from .signs import PLUS, bits, mask_of
 class MandelWitness:
     """Either a plain lexicographic extension spec or the
     extend-then-flip pipeline data; both name the extension element that
-    makes every program with it Euclidean."""
+    makes every program with it Euclidean.  In rank 0 the only extension
+    adds a loop (kind "loop"): it lies in no hyperplane, as there is
+    none, and no program has a loop at infinity."""
 
-    kind: str  # "lex" | "flip-pipeline"
+    kind: str  # "lex" | "flip-pipeline" | "loop"
     spec: Optional[LexExtensionSpec] = None
     mutation: Optional[tuple[int, ...]] = None
     g: Optional[int] = None
@@ -74,6 +76,8 @@ def mandel_witness_search(
         raise ValueError("witness search implemented for uniform oriented matroids")
     if budget <= 0:
         return None
+    if om.rank == 0:
+        return MandelWitness("loop")
     if om.chirotope is None:
         chi = chirotope_from_cocircuits(om)
         recovered = OrientedMatroid._from_chirotope(chi)

@@ -14,7 +14,12 @@ import sys
 
 from . import acceptance as accept
 from .classify import classify, mutation_graph_bfs, summary_table
-from .core import InvalidChirotope, validate_chirotope, validate_cocircuit_axioms
+from .core import (
+    InvalidChirotope,
+    InvalidCocircuits,
+    validate_chirotope,
+    validate_cocircuit_axioms,
+)
 from .extensions import (
     LexExtensionSpec,
     lex_extend,
@@ -152,7 +157,7 @@ def run(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except InvalidChirotope as exc:
+    except (InvalidChirotope, InvalidCocircuits) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except ValueError as exc:

@@ -119,16 +119,15 @@ class ValidationReport:
         return {
             "ok": self.ok,
             "violations": [
-                {
-                    "axiom": axiom,
-                    "witness": [
-                        w.to_string() if isinstance(w, SignVector) else str(w)
-                        for w in witness
-                    ],
-                }
+                {"axiom": axiom, "witness": _witness_strings(witness)}
                 for axiom, witness in self.violations
             ],
         }
+
+
+def _witness_strings(witness) -> list[str]:
+    """A violation's witness, sign vectors as sign strings."""
+    return [w.to_string() if isinstance(w, SignVector) else str(w) for w in witness]
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +150,17 @@ class InvalidChirotope(ValueError):
     def __init__(self, violations, what: str = "invalid chirotope"):
         self.violations = tuple(violations)
         super().__init__(f"{what}: {self.violations[:3]}")
+
+
+class InvalidCocircuits(ValueError):
+    """A cocircuit set failed the axiom check; names the first violation
+    and carries them all."""
+
+    def __init__(self, violations, what: str = "invalid cocircuit set"):
+        self.violations = tuple(violations)
+        axiom, witness = self.violations[0]
+        shown = " ".join(_witness_strings(witness))
+        super().__init__(f"{what}: axiom {axiom} fails at {shown}")
 
 
 class Chirotope:
@@ -880,11 +890,14 @@ def validate_cocircuit_axioms(
     supports, (C3) elimination: for X != -Y and e separating them there
     is Z with Z_e = 0, Z+ within X+ u Y+ less e, Z- within X- u Y- less e.
     When `rank` is given, also checks that every zero set is a flat of
-    rank exactly rank-1 and the ground set has the stated rank.
+    rank exactly rank-1 and the ground set has the stated rank.  The
+    empty set passes with rank 0 only: it is the rank-0 oriented matroid.
     """
     vecs = list(set(vectors))
     violations = []
     if not vecs:
+        if rank == 0:
+            return ValidationReport(True)
         violations.append(("C0", ("empty set",)))
         return ValidationReport(False, tuple(violations))
     if n is None:
@@ -905,6 +918,8 @@ def validate_cocircuit_axioms(
             violations.append(("C2", (x, y)))
         elif y.support_mask & ~x.support_mask == 0:
             violations.append(("C2", (y, x)))
+    # the candidates Z for an elimination at e, in the order of vecs
+    zero_at = [[z for z in vecs if not z.support_mask >> e & 1] for e in range(n)]
     for x in vecs:
         for y in vecs:
             if x is y or y == -x:
@@ -917,10 +932,9 @@ def validate_cocircuit_axioms(
                 ebit = rest & -rest
                 rest ^= ebit
                 ok = False
-                for z in vecs:
+                for z in zero_at[ebit.bit_length() - 1]:
                     if (
-                        z.support_mask & ebit == 0
-                        and z.pm & ~(allowed_p & ~ebit) == 0
+                        z.pm & ~(allowed_p & ~ebit) == 0
                         and z.mm & ~(allowed_m & ~ebit) == 0
                     ):
                         ok = True

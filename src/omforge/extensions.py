@@ -479,8 +479,10 @@ def mandel_from_euclidean_mutant(
     fp = om.n
     result = flipped.reorient(neg) if neg else flipped
     deletion_ok = result.minor(delete={fp}) == om
-    programs = [(e, fp) for e in range(om.n)]
-    verdicts = {e: ok for (e, _), ok in _verdicts(result, programs)}
+    # the programs (e, f') have the verdicts of their mirrors (f', e),
+    # which share one g and so one path table
+    programs = [(fp, e) for e in range(om.n)]
+    verdicts = {e: ok for (_, e), ok in _verdicts(result, programs)}
     return MandelPipelineResult(
         result, fp, spec, basis_order, g, deletion_ok, verdicts, neg
     )

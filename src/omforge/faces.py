@@ -162,6 +162,8 @@ def mutation_from_basis(
     om: OrientedMatroid, basis: Iterable[int]
 ) -> Optional[MutationCertificate]:
     """Certificate for the basis, or None if no conformal normalization.
+    A rank-0 oriented matroid has no mutation: its empty basis has no
+    cocircuit to bound a tope.
 
     Normalization is seeded deterministically: within each block of the
     conformality-constraint graph the first unconstrained cocircuit gets
@@ -170,6 +172,8 @@ def mutation_from_basis(
     b = tuple(sorted(set(basis)))
     if om.subset_rank(b) != om.rank or len(b) != om.rank:
         raise ValueError(f"{b} is not a basis")
+    if not b:
+        return None
     raw = [base_cocircuit(om, e, b) for e in b]
     chosen: list[Optional[SignVector]] = [None] * len(raw)
     for i in range(len(raw)):

@@ -4,7 +4,7 @@
       lexicographic r-subset order.  Bit-exact round trip.
 .pts  line 1 "r n"; then n lines of r integers (homogeneous vectors).
 .ccj  JSON {"n", "rank", "labels"?, "cocircuits": [sign strings]},
-      negation-closed.
+      negation-closed; `read_ccj` checks the cocircuit axioms.
 """
 
 from __future__ import annotations
@@ -12,7 +12,14 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .core import Chirotope, OrientedMatroid, cocircuits_from_chirotope, om_from_points
+from .core import (
+    Chirotope,
+    InvalidCocircuits,
+    OrientedMatroid,
+    cocircuits_from_chirotope,
+    om_from_points,
+    validate_cocircuit_axioms,
+)
 from .signs import SignVector
 
 
@@ -56,6 +63,8 @@ def write_pts(path, points) -> None:
 
 
 def read_ccj(path) -> OrientedMatroid:
+    """A .ccj file's oriented matroid, after the cocircuit axiom check
+    (`InvalidCocircuits` names the first violation)."""
     n, rank, cocircuits, labels = read_ccj_fields(path)
     try:
         om = OrientedMatroid(
@@ -68,6 +77,9 @@ def read_ccj(path) -> OrientedMatroid:
         raise ValueError(
             f"{path}: declared rank {om.rank}, but the cocircuits have rank {actual}"
         )
+    report = validate_cocircuit_axioms(cocircuits, n=n, rank=rank)
+    if not report.ok:
+        raise InvalidCocircuits(report.violations, f"{path}: invalid cocircuit set")
     return om
 
 

@@ -25,9 +25,37 @@ eps * chi(U,g,f) with eps = chi(U,g,a) chi(U,b,a) chi(U,b,g), since
 Z = El(-X_a, X_b, g) has Z_a = X_b(a).  eps is constant along the line,
 so for f outside U each line is one directed path, and a line with f in
 U carries only direction-0 edges.  (g, f) is Euclidean iff the union of
-the paths is acyclic, which a Kahn sort decides.  `is_euclidean`, which
-returns directed-cycle witnesses, always builds the cocircuit graph; it
-is the oracle for the sign route and the route for every other input.
+the paths is acyclic, which a Kahn sort decides.
+
+Each line's cyclic order, as vertex numbers, and its arcs forwards and
+backwards are built once per chirotope, each list written out twice
+around the circle.  The path of g on a line is the cyclic order cut at
+g, so its arcs are one slice of each doubled list (`_paths_at`).
+
+Mirror lemma: (g, f) and (f, g) have the same verdict, so the sign
+route decides each unordered pair {g, f} once.  The edges on the line U
+and their directions depend only on the rank-2 contraction O/U, and
+every rank-2 oriented matroid is realizable, by vectors v_e in the
+plane.  There a vertex is a functional x with x.v_a = 0 and
+x.v_g > 0, and El(-X_a, X_b, g) is (x_a.v_g) x_b - (x_b.v_g) x_a,
+whose f-sign is the sign of rho(X_b) - rho(X_a) for
+rho = X(f)/X(g) = (x.v_f)/(x.v_g).
+- So every arc, on every line, raises rho.  An arc can join a vertex
+  with X_f = - to one with X_f = +, but never the other way, and a
+  vertex with X_f = 0 only passes from one side to the other.  The sign
+  of X_f is a property of the cocircuit, not of the line, so along a
+  directed cycle it can never fall, and is constant: every directed
+  cycle lies in one quadrant {X_g = +, X_f = s}, s = + or -.
+- In that quadrant, with the vertices negated when s = -, the vertices
+  and edges of (f, g) are those of (g, f).  Its objective is
+  X(g)/X(f) = 1/rho, which falls where rho rises on either side of 0,
+  so its arcs are those of (g, f) reversed, and the reverse of a
+  directed cycle is a directed cycle.  With g and f swapped, the same
+  holds the other way.
+
+`is_euclidean`, which returns directed-cycle witnesses, always builds
+the cocircuit graph; it is the oracle for the sign route and the route
+for every other input.
 """
 
 from __future__ import annotations
@@ -343,10 +371,13 @@ def valid_programs(om: OrientedMatroid) -> list[tuple[int, int]]:
     ]
 
 
-def _pseudolines(chi: Chirotope) -> list[tuple[int, list[list[int]], list[int]]]:
+def _pseudolines(chi: Chirotope, index: dict[int, int]) -> list[tuple]:
     """For each (r-2)-subset U, as a mask: the table t[x][y] = chi(U, x, y)
-    for x, y outside U (0 elsewhere), and the elements outside U in
-    pseudoline order, a half-turn of the rank-2 contraction by U."""
+    for x, y outside U (0 elsewhere); the elements outside U in
+    pseudoline order, a half-turn of the rank-2 contraction by U; each
+    element's place in that order (-1 on U); and the arcs between
+    consecutive vertices, as `index` numbers of their zero sets U+a,
+    forwards and backwards around the order twice."""
     n, signs = chi.n, chi.signs
     out = []
     for u in itertools.combinations(range(n), chi.rank - 2):
@@ -369,25 +400,29 @@ def _pseudolines(chi: Chirotope) -> list[tuple[int, list[list[int]], list[int]]]
         for a in others:
             ta, sa = t[a], side[a]
             order[1 + sum(1 for b in others if sa * side[b] * ta[b] < 0)] = a
-        out.append((um, t, order))
+        place = [-1] * n
+        for i, a in enumerate(order):
+            place[a] = i
+        ids = [index[um | 1 << a] for a in order] * 2
+        fwd = list(zip(ids, ids[1:]))
+        out.append((um, t, order, place, fwd, [(j, i) for i, j in fwd]))
     return out
 
 
-def _paths_at(pseudolines, index: dict[int, int], g: int) -> list[tuple]:
+def _paths_at(pseudolines, g: int) -> list[tuple]:
     """(U, chi(U, g, .), eps, arcs forwards, arcs backwards) for every
-    line U without g.  Its vertices, as `index` numbers of their zero
-    sets U+a, lie in the half-turn that follows g."""
+    line U without g.  Its vertices lie in the half-turn that follows g:
+    the order cut at g, so its arcs are slices of the doubled lists."""
     out = []
-    for um, t, order in pseudolines:
-        if um >> g & 1:
+    for um, t, order, place, fwd, bwd in pseudolines:
+        k = place[g]
+        if k < 0:
             continue
+        m = len(order)
         tg = t[g]
-        k = order.index(g)
-        path = order[k + 1:] + order[:k]
-        eps = tg[path[0]] * t[path[1]][path[0]] * t[path[1]][g]
-        ids = [index[um | 1 << a] for a in path]
-        fwd = list(zip(ids, ids[1:]))
-        out.append((um, tg, eps, fwd, [(j, i) for i, j in fwd]))
+        a, b = order[(k + 1) % m], order[(k + 2) % m]
+        eps = tg[a] * t[b][a] * t[b][g]
+        out.append((um, tg, eps, fwd[k + 1:k + m - 1], bwd[k + 1:k + m - 1]))
     return out
 
 
@@ -417,26 +452,33 @@ def _sign_verdicts(
     """Verdicts of valid programs of a uniform oriented matroid of rank
     >= 2 with a chirotope, read from the chirotope's signs by the
     pseudoline rule in the module docstring.  programs lists (g, f)
-    grouped by g: the paths are built once per run of one g."""
-    pseudolines = _pseudolines(om.chirotope)
+    grouped by g.  Each unordered pair {g, f} is decided once, and its
+    mirror answered from that verdict (the mirror lemma); the paths of
+    g are built once per run of one g, when a program there is new."""
     # vertices are numbered by their zero sets, the (r-1)-subsets
     index = {
         mask_of(z): i
         for i, z in enumerate(itertools.combinations(range(om.n), om.rank - 1))
     }
+    pseudolines = _pseudolines(om.chirotope, index)
+    decided: dict[tuple[int, int], bool] = {}
     current = -1
     for g, f in programs:
-        if g != current:
-            current = g
-            paths = _paths_at(pseudolines, index, g)
-            verts = [v for z, v in index.items() if not z >> g & 1]
-        # a line with f in U carries only direction-0 edges
-        arcs = (
-            fwd if eps * tg[f] > 0 else bwd
-            for um, tg, eps, fwd, bwd in paths
-            if not um >> f & 1
-        )
-        yield (g, f), _acyclic(len(index), verts, arcs)
+        pair = (g, f) if g < f else (f, g)
+        ok = decided.get(pair)
+        if ok is None:
+            if g != current:
+                current = g
+                paths = _paths_at(pseudolines, g)
+                verts = [v for z, v in index.items() if not z >> g & 1]
+            # a line with f in U carries only direction-0 edges
+            arcs = (
+                fwd if eps * tg[f] > 0 else bwd
+                for um, tg, eps, fwd, bwd in paths
+                if not um >> f & 1
+            )
+            ok = decided[pair] = _acyclic(len(index), verts, arcs)
+        yield (g, f), ok
 
 
 def _verdicts(

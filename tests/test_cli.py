@@ -2,6 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +116,69 @@ def test_topes_of_rank0_is_the_zero_vector(tmp_path, capsys):
     code, payload = run_json(capsys, ["topes", str(path)])
     assert code == EXIT_OK
     assert payload["count"] == 1 and payload["topes"] == ["000"]
+
+
+@pytest.mark.parametrize("command", ["mutations", "classify", "validate"])
+def test_rank0_ccj_has_no_mutation(tmp_path, capsys, command):
+    path = tmp_path / "r0.ccj"
+    path.write_text(json.dumps({"n": 3, "rank": 0, "cocircuits": []}))
+    code, payload = run_json(capsys, [command, str(path)])
+    assert code == EXIT_OK
+    if command == "mutations":
+        assert payload["mutations"] == [] and payload["L"] is None
+    elif command == "classify":
+        assert payload["mutation_count"] == 0 and payload["L"] is None
+        assert payload["mandel_witness"] == {"kind": "loop"}
+    else:
+        assert payload["ok"]
+
+
+@pytest.fixture()
+def broken_c36_ccj(tmp_path):
+    """cyclic_om(3,6) with one sign changed in one cocircuit pair: closed
+    under negation, with the declared rank, but no oriented matroid."""
+    coc = sorted(x.to_string() for x in cyclic_om(3, 6).cocircuits)
+    swap = str.maketrans("+-", "-+")
+    x = coc[0]
+    i = next(k for k, c in enumerate(x) if c != "0")
+    y = x[:i] + x[i].translate(swap) + x[i + 1:]
+    pair = {x: y, x.translate(swap): y.translate(swap)}
+    path = tmp_path / "broken.ccj"
+    path.write_text(json.dumps(
+        {"n": 6, "rank": 3, "cocircuits": [pair.get(c, c) for c in coc]}
+    ))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["mutations", "classify", "euclidean-all"])
+def test_ccj_failing_the_axioms_is_a_validation_failure(
+    broken_c36_ccj, capsys, command
+):
+    code, report = run_json(capsys, ["validate", broken_c36_ccj])
+    assert code == EXIT_INVALID and len(report["violations"]) > 1
+    first = report["violations"][0]
+    assert run([command, broken_c36_ccj]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert lines[0].endswith(
+        f"axiom {first['axiom']} fails at {' '.join(first['witness'])}"
+    )
+
+
+def test_python_m_omforge_runs_the_cli(w3_chi):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "omforge", "topes", w3_chi],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert json.loads(done.stdout)["count"] == 6
 
 
 def test_mutations_b(c48_pts, capsys):

@@ -3,10 +3,15 @@ import random
 
 import pytest
 
+import omforge.programs as programs_module
 from omforge.classify import _verify_lex_witness, mutation_graph_bfs
 from omforge.core import OrientedMatroid, om_from_points
 from omforge.corpus import cyclic_om, non_euclidean_848, random_points, w3
-from omforge.extensions import LexExtensionSpec, lex_extend
+from omforge.extensions import (
+    LexExtensionSpec,
+    lex_extend,
+    mandel_from_euclidean_mutant,
+)
 from omforge.faces import mutations
 from omforge.programs import (
     DirectedCycleWitness,
@@ -262,7 +267,7 @@ def assert_verdicts_match_cocircuit_graph(om):
     return verdicts
 
 
-@pytest.mark.parametrize(
+BFS_SETS = pytest.mark.parametrize(
     "make_seed, classes",
     [
         (lambda: cyclic_om(3, 8), 135),
@@ -272,6 +277,9 @@ def assert_verdicts_match_cocircuit_graph(om):
     ],
     ids=["closure38", "cyclic48", "non_euclidean_848", "cyclic59"],
 )
+
+
+@BFS_SETS
 def test_sign_verdicts_match_cocircuit_graph_on_bfs_classes(make_seed, classes):
     graph = mutation_graph_bfs(make_seed(), max_nodes=classes)
     assert len(graph.nodes) == classes
@@ -341,6 +349,84 @@ def test_sign_verdicts_match_is_euclidean_on_lex_extensions():
             assert _verify_lex_witness(om, spec) == all(got.values())
             seen.update(got.values())
     assert seen == {True, False}
+
+
+# -- the mirror lemma: (g, f) and (f, g) have one verdict --------------------------
+
+def mirror_verdicts(om):
+    """The g < f and the g > f programs of om, decided by two `_verdicts`
+    calls, so that no verdict is answered from the other's memo; each
+    program's verdict equals its mirror's.  Returns the g < f verdicts."""
+    programs = valid_programs(om)
+    lower = dict(_verdicts(om, [(g, f) for g, f in programs if g < f]))
+    upper = dict(_verdicts(om, [(g, f) for g, f in programs if g > f]))
+    assert upper == {(f, g): ok for (g, f), ok in lower.items()}
+    return lower
+
+
+@BFS_SETS
+def test_mirror_verdicts_agree_on_bfs_classes(make_seed, classes):
+    graph = mutation_graph_bfs(make_seed(), max_nodes=classes)
+    assert len(graph.nodes) == classes
+    seen = set()
+    for node in graph.nodes.values():
+        assert node.om._uniform_chirotope()  # so _verdicts reads signs
+        seen.update(mirror_verdicts(node.om).values())
+    assert seen == ({True, False} if make_seed is non_euclidean_848 else {True})
+
+
+def test_mirror_verdicts_agree_realizable():
+    rng = random.Random(29)
+    for r, n in ((2, 5), (2, 7), (3, 7), (4, 8), (5, 8)):
+        for _ in range(3):
+            om = om_from_points(random_points(rng, r, n, uniform=True))
+            assert om._uniform_chirotope()
+            verdicts = mirror_verdicts(om)
+            assert len(verdicts) == n * (n - 1) // 2 and all(verdicts.values())
+
+
+def test_mirror_verdicts_agree_on_lex_extensions(non_euclidean_om):
+    rng = random.Random(31)
+    om = non_euclidean_om
+    seen = set()
+    for _ in range(8):
+        elems = rng.sample(range(om.n), om.rank)
+        signs = [rng.choice((PLUS, MINUS)) for _ in elems]
+        ext = lex_extend(om, LexExtensionSpec(tuple(zip(elems, signs))))
+        assert ext._uniform_chirotope()
+        seen.update(mirror_verdicts(ext).values())
+    assert seen == {True, False}
+
+
+def test_mirrors_of_non_euclidean_programs_by_the_cocircuit_graph(non_euclidean_om):
+    om = non_euclidean_om
+    bad = [pair for pair, ok in program_verdicts(om).items() if not ok]
+    assert bad and all((f, g) in bad for g, f in bad)
+    for g, f in bad:
+        p = Program(om, f, g)
+        verdict = is_euclidean(p)
+        assert not verdict.euclidean and verify_witness(p, verdict.witness)
+
+
+def test_each_unordered_pair_is_sorted_once(count_calls):
+    sorts = count_calls(programs_module, "_acyclic")
+    assert all_programs_euclidean(cyclic_om(4, 8))
+    assert len(sorts) == 28  # C(8, 2), not the 56 programs
+    om = non_euclidean_848()
+    programs = valid_programs(om)
+    for k in (0, 1, 7, 8, 10, 30):
+        sorts.clear()
+        assert len(list(itertools.islice(_verdicts(om, programs), k))) == k
+        assert len(sorts) <= k
+
+
+def test_mandel_pipeline_builds_one_path_table(count_calls):
+    tables = count_calls(programs_module, "_paths_at")
+    result = mandel_from_euclidean_mutant(
+        cyclic_om(4, 8), (0, 1, 2, 3), 5, check_hypotheses=False
+    )
+    assert len(result.program_verdicts) == 8 and result.ok
+    assert len(tables) == 1
 
 
 CACHED_CALLS = (program_verdicts, all_programs_euclidean, has_euclidean_program)
