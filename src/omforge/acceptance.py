@@ -247,10 +247,13 @@ def criterion_6_preservation(ctx: AcceptanceContext) -> CriterionResult:
             for fx in range(om.n):
                 if not is_euclidean(Program(ext, p, fx)).euclidean:
                     return False, f"(a) extension program (p,{fx}) not Euclidean"
-        # (b) flips with f in M, g outside preserve the verdict; the pool
-        # mixes Euclidean instances with a non-Euclidean one (and the
-        # campaign's witnesses when they are already in hand)
-        checked_b = 0
+        # (b) a flip at B keeps the verdict of every program with one of
+        # g, f in B: the verdicts a flipped child inherits from its
+        # decided parent (the flip rule in `programs`) must match the oracle
+        # on the child.  The pool mixes Euclidean instances with
+        # non-Euclidean ones (and the campaign's witnesses when they are
+        # already in hand)
+        flips_b = checked_b = 0
         pool = list(oms)
         pool.extend(non_euclidean_848() for _ in range(3))
         if ctx._campaign_done:
@@ -260,14 +263,15 @@ def criterion_6_preservation(ctx: AcceptanceContext) -> CriterionResult:
             if not bases:
                 continue
             basis = bases[rng.randrange(len(bases))]
-            fx = basis[rng.randrange(len(basis))]
-            outs = [g for g in range(om.n) if g not in basis]
-            g = outs[rng.randrange(len(outs))]
-            before = is_euclidean(Program(om, g, fx)).euclidean
-            after = is_euclidean(Program(flip_basis(om, basis), g, fx)).euclidean
-            if before != after:
-                return False, f"(b) flip changed verdict of (g={g}, f={fx})"
-            checked_b += 1
+            program_verdicts(om)  # decided first, so that the child inherits
+            child = flip_basis(om, basis)
+            for (g, fx), ok in program_verdicts(child).items():
+                if (g in basis) == (fx in basis):
+                    continue
+                if is_euclidean(Program(child, g, fx)).euclidean != ok:
+                    return False, f"(b) flip at {basis} changed verdict of (g={g}, f={fx})"
+                checked_b += 1
+            flips_b += 1
         # (c) direct sums of Euclidean instances stay Euclidean
         small = [om for om in oms if om.n <= 6][:6]
         for r, n in ((2, 4), (2, 5), (3, 5)):
@@ -306,7 +310,7 @@ def criterion_6_preservation(ctx: AcceptanceContext) -> CriterionResult:
             if checked_d >= 60:
                 break
         return True, (
-            f"(a) {len(oms)} extensions; (b) {checked_b} flips; "
+            f"(a) {len(oms)} extensions; (b) {flips_b} flips, {checked_b} programs; "
             f"(c) {checked_c} sums; (d) {checked_d} substitutions"
         )
 

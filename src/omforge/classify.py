@@ -17,7 +17,7 @@ from .canonical import canonical_form, canonical_search
 from .core import OrientedMatroid, chirotope_from_cocircuits, validate_chirotope
 from .extensions import LexExtensionSpec, _mandel_pipeline_results, lex_extend
 from .faces import flip_basis, mutation_adjacency, mutation_bases
-from .programs import _verdicts, all_programs_euclidean, has_euclidean_program
+from .programs import _verdicts, all_programs_euclidean, is_totally_non_euclidean
 from .signs import PLUS, bits, mask_of
 
 
@@ -155,7 +155,7 @@ def classify(om: OrientedMatroid, mandel_budget: int = 2000) -> ClassificationRe
     adjacency = mutation_adjacency(om)
     lv = all(adjacency.values())
     eall = all_programs_euclidean(om)
-    tne = False if eall else not has_euclidean_program(om)
+    tne = is_totally_non_euclidean(om)
     witness = None
     undetermined = False
     if om.is_uniform():

@@ -28,7 +28,7 @@ from .extensions import (
 )
 from .faces import flip_basis, mutation_adjacency, mutations, topes
 from .fileio import load_om, read_ccj_fields, read_chi
-from .programs import Program, is_euclidean, program_verdicts
+from .programs import Program, is_euclidean, is_totally_non_euclidean, program_verdicts
 from .signs import SignVector
 
 EXIT_OK = 0
@@ -222,7 +222,7 @@ def _dispatch(args) -> int:
                 for (g, f), v in sorted(verdicts.items())
             ],
             "euclidean_all_programs": all(verdicts.values()),
-            "totally_non_euclidean": not any(verdicts.values()),
+            "totally_non_euclidean": is_totally_non_euclidean(om),
         })
         return EXIT_OK
 

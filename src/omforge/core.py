@@ -357,14 +357,41 @@ def _gp3_violation(x: int, four) -> tuple:
     return ("grassmann-pluecker-3", (tuple(bits(x)), tuple(four)))
 
 
+def _basis_exchange_violations(chi: Chirotope) -> list:
+    """Basis exchange on the support: for bases B1, B2 and x in B1 - B2,
+    some y in B2 - B1 makes B1 - x + y a basis.  One violation, with the
+    first such x, per ordered pair that fails."""
+    n, signs = chi.n, chi.signs
+    bases = [m for m in chi.basis_masks() if signs[m]]
+    violations = []
+    for b1 in bases:
+        # swaps[x]: the y outside B1 with B1 - x + y a basis, as a mask
+        outside = [y for y in range(n) if not b1 >> y & 1]
+        swaps = {
+            x: mask_of(y for y in outside if signs[b1 ^ 1 << x | 1 << y])
+            for x in bits(b1)
+        }
+        for b2 in bases:
+            only2 = b2 & ~b1
+            x = next((x for x in bits(b1 & ~b2) if not swaps[x] & only2), None)
+            if x is not None:
+                witness = (tuple(bits(b1)), tuple(bits(b2)), x)
+                violations.append(("basis-exchange", witness))
+    return violations
+
+
 def validate_chirotope(chi: Chirotope) -> ValidationReport:
-    """Exhaustive three-term Grassmann-Pluecker sign check: every
-    (r-2)-subset x and 4-subset {a,b,c,d} of the rest (`_gp3_holds`)."""
+    """The chirotope axioms: a nonzero map whose support is the basis
+    set of a matroid (basis exchange, checked when the map is not
+    uniform), and the exhaustive three-term Grassmann-Pluecker sign check
+    on every (r-2)-subset x and 4-subset {a,b,c,d} of the rest
+    (`_gp3_holds`).  Those suffice on such a support (Bjoerner et al.,
+    *Oriented Matroids*, Thm 3.6.2)."""
     if chi.is_zero():
         return ValidationReport(False, (("identically-zero", ()),))
     r, n = chi.rank, chi.n
     signs = chi.signs
-    violations = []
+    violations = [] if chi.is_uniform() else _basis_exchange_violations(chi)
     if r >= 2 and n - (r - 2) >= 4:
         for x in itertools.combinations(range(n), r - 2):
             xm = mask_of(x)
@@ -420,6 +447,7 @@ class OrientedMatroid:
         self._sorted: Optional[tuple[SignVector, ...]] = None
         self._graph_cache: dict[int, tuple] = {}
         self._non_euclidean = None  # programs: frozenset of (g, f), decided once
+        self._flipped_from = None  # flip_basis: (basis mask, parent) until decided
         self._tope_cache = None
         self._mutation_cache = None
         self._mutation_bases = None

@@ -297,7 +297,10 @@ def flip_basis(om: OrientedMatroid, basis: Iterable[int]) -> OrientedMatroid:
     sign test at a basis reads only the bases next to it, so only the
     r(n-r) bases sharing r-1 elements with this one are tested again
     (r(n-r) sign tests in place of C(n,r)).  The others, this basis
-    included, keep om's verdict.
+    included, keep om's verdict.  The child also records this basis and
+    om, so that its programs with one element in the basis read om's
+    verdicts once om has decided them (the flip rule in the `programs`
+    docstring).
     """
     chi = om.chirotope
     if chi is None or not om.is_uniform():
@@ -311,6 +314,7 @@ def flip_basis(om: OrientedMatroid, basis: Iterable[int]) -> OrientedMatroid:
     child = OrientedMatroid._from_chirotope(chi.with_basis_flipped(b))
     if om._mutation_bases is not None:
         child._mutation_bases = _inherited_bases(om._mutation_bases, child.chirotope, m)
+    child._flipped_from = (m, om)
     return child
 
 

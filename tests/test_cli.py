@@ -167,6 +167,54 @@ def test_ccj_failing_the_axioms_is_a_validation_failure(
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate"], ["cocircuits"], ["topes"], ["mutations"],
+        ["euclidean", "--g", "0", "--f", "1"], ["euclidean-all"],
+        ["lexext", "--spec", "0:+,2:+,5:+"], ["flip", "--basis", "0,2,5"],
+        ["perturb", "--cocircuit", "0+0000", "--element", "0"], ["classify"],
+        ["mutation-graph"], ["mandel-pipeline", "--mutation", "0,2,5", "--g", "1"],
+        ["summary"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_chi_failing_basis_exchange_is_a_validation_failure(tmp_path, capsys, argv):
+    # the only bases are {0,2,5} and {1,3,4}: every three-term
+    # Grassmann-Pluecker relation holds, but the support is no matroid
+    path = tmp_path / "two_bases.chi"
+    path.write_text("3 6\n000000-000000+000000\n")
+    code = run([argv[0], str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    if argv[0] == "validate":
+        violations = json.loads(captured.out)["violations"]
+        assert violations[0] == {
+            "axiom": "basis-exchange", "witness": ["(0, 2, 5)", "(1, 3, 4)", "0"]
+        }
+    else:
+        assert captured.out == "" and "basis-exchange" in captured.err
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [("r_equals_n.chi", "3 3\n+\n"),
+     ("rank0.ccj", json.dumps({"n": 3, "rank": 0, "cocircuits": []}))],
+    ids=["r=n", "rank0"],
+)
+def test_no_program_is_not_totally_non_euclidean(tmp_path, capsys, name, text):
+    # with no valid program, both commands report every program
+    # Euclidean and the class not totally non-Euclidean
+    path = tmp_path / name
+    path.write_text(text)
+    for command in ("euclidean-all", "classify"):
+        code, payload = run_json(capsys, [command, str(path)])
+        assert code == EXIT_OK
+        assert payload["euclidean_all_programs"] is True
+        assert payload["totally_non_euclidean"] is False
+    assert payload["consistency_violations"] == []
+
+
 def test_python_m_omforge_runs_the_cli(w3_chi):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)

@@ -20,7 +20,7 @@ from omforge.core import (
 )
 from omforge.corpus import cyclic_om, cyclic_points, random_points, w3
 from omforge.faces import mutations
-from omforge.signs import SignVector
+from omforge.signs import SignVector, mask_of
 
 sv = SignVector.from_string
 
@@ -154,6 +154,34 @@ def test_spec_rank2_pattern_is_actually_realizable():
     chi = Chirotope.from_points([[1, 0], [1, 2], [1, 1], [1, 3]])
     assert chi.to_string() == "+++-++"
     assert validate_chirotope(chi).ok
+
+
+def test_basis_exchange_matches_the_axiom():
+    # the support check against the exchange axiom as stated, on random
+    # supports and on the supports of realizable non-uniform maps
+    rng = random.Random(5)
+    seen = set()
+    for r, n in ((2, 5), (3, 6)):
+        subsets = list(itertools.combinations(range(n), r))
+        maps = [
+            Chirotope.from_points(random_points(rng, r, n, uniform=False))
+            for _ in range(20)
+        ]
+        for _ in range(200):
+            p = rng.choice((0.5, 0.9, 0.97))
+            keep = [b for b in subsets if rng.random() < p] or subsets[:1]
+            maps.append(Chirotope(r, n, {b: 1 for b in keep}))
+        for chi in maps:
+            bases = {frozenset(b) for b in subsets if chi.signs[mask_of(b)]}
+            axiom = all(
+                any(b1 - {x} | {y} in bases for y in b2 - b1)
+                for b1 in bases for b2 in bases for x in b1 - b2
+            )
+            report = validate_chirotope(chi)
+            flagged = any(name == "basis-exchange" for name, _ in report.violations)
+            assert flagged == (not axiom)
+            seen.add(axiom)
+    assert seen == {True, False}
 
 
 def test_all_zero_rejected():

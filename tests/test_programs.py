@@ -12,7 +12,7 @@ from omforge.extensions import (
     lex_extend,
     mandel_from_euclidean_mutant,
 )
-from omforge.faces import mutations
+from omforge.faces import flip_basis, mutation_bases, mutations
 from omforge.programs import (
     DirectedCycleWitness,
     ElementNotInSeparator,
@@ -34,7 +34,7 @@ from omforge.programs import (
     verify_witness,
     very_strong_components,
 )
-from omforge.signs import MINUS, PLUS, SignVector
+from omforge.signs import MINUS, PLUS, SignVector, mask_of
 
 sv = SignVector.from_string
 
@@ -429,6 +429,91 @@ def test_mandel_pipeline_builds_one_path_table(count_calls):
     assert len(tables) == 1
 
 
+# -- the flip rule: a flip child inherits the programs split by the basis -------
+
+def assert_flip_children_inherit(om, count_calls):
+    """For every mutation basis of om, once om has decided its programs:
+    the flip child's non-Euclidean programs equal those decided from
+    scratch on a copy that records no parent, and the child sorts only
+    the pairs inside the basis or outside it.  Returns the children's
+    non-Euclidean programs with one element in the basis, and those with
+    none or both."""
+    r, n = om.rank, om.n
+    program_verdicts(om)
+    sorts = count_calls(programs_module, "_acyclic")
+    split, unsplit = set(), set()
+    for basis in mutation_bases(om):
+        child = flip_basis(om, basis)
+        assert child._flipped_from == (mask_of(basis), om)
+        sorts.clear()
+        got = programs_module._non_euclidean_programs(child)
+        assert len(sorts) == (r * (r - 1) + (n - r) * (n - r - 1)) // 2
+        assert child._flipped_from is None  # the parent is let go
+        scratch = OrientedMatroid._from_chirotope(child.chirotope)
+        assert scratch._flipped_from is None
+        assert got == programs_module._non_euclidean_programs(scratch)
+        m = mask_of(basis)
+        for g, f in got:
+            (split if (m >> g ^ m >> f) & 1 else unsplit).add((basis, g, f))
+    return split, unsplit
+
+
+def test_flip_children_inherit_verdicts_on_bfs_classes(count_calls):
+    graph = mutation_graph_bfs(non_euclidean_848(), max_nodes=20)
+    assert len(graph.nodes) == 20
+    inherited, decided = set(), set()
+    for node in graph.nodes.values():
+        split, unsplit = assert_flip_children_inherit(node.om, count_calls)
+        inherited |= split
+        decided |= unsplit
+    # the classes are of both kinds, and the children's non-Euclidean
+    # programs fall on both sides of the rule
+    kinds = {all_programs_euclidean(node.om) for node in graph.nodes.values()}
+    assert kinds == {True, False}
+    assert inherited and decided
+
+
+def test_flip_children_inherit_verdicts_on_a_lex_extension(count_calls):
+    om = non_euclidean_848()
+    ext = lex_extend(om, LexExtensionSpec(((0, PLUS), (3, MINUS), (5, PLUS), (6, PLUS))))
+    assert ext.n == 9 and ext._uniform_chirotope()
+    split, _ = assert_flip_children_inherit(ext, count_calls)
+    assert split and not all_programs_euclidean(ext)
+
+
+@pytest.mark.parametrize(
+    "make_seed, sorts",
+    [(lambda: cyclic_om(4, 8), 12), (lambda: cyclic_om(3, 8), 13)],
+    ids=["rank4", "rank3"],
+)
+def test_flip_child_of_a_decided_parent_sorts_the_unsplit_pairs(
+    count_calls, make_seed, sorts
+):
+    # C(r,2) + C(n-r,2) of the 28 pairs; an undecided parent leaves the
+    # child all 28, and the child does not decide the parent
+    acyclic = count_calls(programs_module, "_acyclic")
+    om = make_seed()
+    basis = mutation_bases(om)[-1]
+    all_programs_euclidean(om)
+    acyclic.clear()
+    all_programs_euclidean(flip_basis(om, basis))
+    assert len(acyclic) == sorts
+    om = make_seed()
+    child = flip_basis(om, basis)
+    acyclic.clear()
+    all_programs_euclidean(child)
+    assert len(acyclic) == 28
+    assert om._non_euclidean is None and child._flipped_from is None
+
+
+def _flip_child_of_decided_848():
+    # the flip at (0, 4, 5, 6) keeps 848's 8 non-Euclidean programs, all
+    # split by the basis, so all 8 are inherited
+    om = non_euclidean_848()
+    program_verdicts(om)
+    return flip_basis(om, (0, 4, 5, 6))
+
+
 CACHED_CALLS = (program_verdicts, all_programs_euclidean, has_euclidean_program)
 
 
@@ -441,9 +526,10 @@ CACHED_CALLS = (program_verdicts, all_programs_euclidean, has_euclidean_program)
         lambda: w3().direct_sum(w3()),
         lambda: cyclic_om(1, 3),
         lambda: cyclic_om(3, 3),
+        _flip_child_of_decided_848,
     ],
     ids=["cyclic48", "non_euclidean_848", "848_cocircuits_only", "w3_plus_w3",
-         "rank1", "no_programs"],
+         "rank1", "no_programs", "flip_child"],
 )
 def test_verdict_cache_any_call_order(make):
     # each call on a fresh copy is the reference; on one copy, the three
