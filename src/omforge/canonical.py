@@ -9,10 +9,21 @@ canonical representative re-serialized in the .chi lex-subset order.
 
 Reorientation never branches: signs of the first r+1 decided bases are
 gauged to their optimum directly (all '+', or all '+' with one forced
-'-' when rank is even and the gauge parity obstructs), which pins the
-per-position signs up to the documented two-fold ambiguity resolved by
-exploring both solutions; every later position's sign is forced by its
-first decided basis.
+'-' when rank is even and the gauge parity obstructs), and every later
+position's sign is forced by its first decided basis.  At even rank the
+gauge leaves two solutions, P = +-1, and only P = +1 is searched: P = -1
+negates the signs of positions 0..r, and with them every later sign,
+which is read off a basis over r-1 negated positions.  Each entry is a
+product over r positions, so it is unchanged, and the P = -1 subtree
+spells exactly the P = +1 subtree's strings.
+
+Global negation needs a second pass over -chi at even rank only (at odd
+rank -chi is the all-element reorientation of chi).  That pass ends at
+its first leaf when the leaf ties the first pass: the tie is a colour-
+preserving map that takes -chi into chi's class, so the pass's leaf
+strings are the first pass's, its minimum is the key already found, and
+the winning leaf stays the first pass's.  Only the automorphisms the
+pass would have found later are lost.
 
 Symmetric classes are cut down in two ways.  The relabelings are those
 that sort the element colouring, refined to a fixed point over the
@@ -217,19 +228,16 @@ def key_search(chi: Chirotope, invariants=None) -> KeySearch:
 
     def leaf(perm, rho, g) -> int:
         nonlocal dirty, ref_perm, winner
-        if dirty or ref_perm is None:
-            if dirty:
-                winner = (tuple(perm), tuple(rho), g)
+        if not dirty and ref_perm is None:
+            return -1  # the negated pass ties the first: it spells no less
+        if dirty:
+            winner = (tuple(perm), tuple(rho), g)
             dirty = False
             ref_perm = perm[:]
             return n
         # same string as the reference leaf: record the map between them
         # and unwind to the node where their paths part
-        for level, (q, p) in enumerate(zip(ref_perm, perm)):
-            if q != p:
-                break
-        else:
-            return n  # the same relabeling under the other gauge solution
+        level = next(i for i, (q, p) in enumerate(zip(ref_perm, perm)) if q != p)
         sigma = [0] * n
         for q, p in zip(ref_perm, perm):
             sigma[q] = p
@@ -341,7 +349,9 @@ def key_search(chi: Chirotope, invariants=None) -> KeySearch:
         # (P = prod of prefix rhos).  For odd rank every u is reachable
         # (block all '+', one rho solution); for even rank u has even
         # parity, so when prod d_j is '-' the colex-last entry takes the
-        # forced '-', and two rho solutions (P = +-1) remain.
+        # forced '-'.  Of its two rho solutions only P = +1 is searched:
+        # P = -1 negates every rho (each later rho_k is a product of r-1
+        # of them), so each entry, a product of r rhos, is unchanged.
         base = perm[:r]
         a_val = g * chi_at(base)
         b_val = g * chi_at(base[: r - 1] + [src])
@@ -360,15 +370,9 @@ def key_search(chi: Chirotope, invariants=None) -> KeySearch:
             entries[r - 1] = 1  # block entry i corresponds to j = r-1-i
         if compare_block(offsets[r], entries):
             return n
-        p_choices = (1, -1) if r % 2 == 0 else (prod,)
-        for p_val in p_choices:
-            new_rho = [x * p_val for x in u]
-            new_rho.append(a_val * p_val)  # rho_{r-1}
-            new_rho.append(b_val * p_val)  # rho_r
-            jump = descend(r + 1, perm, used, new_rho, g)
-            if jump < n:
-                return jump
-        return n
+        p_val = 1 if r % 2 == 0 else prod
+        new_rho = [x * p_val for x in u] + [a_val * p_val, b_val * p_val]
+        return descend(r + 1, perm, used, new_rho, g)
 
     for g in (PLUS, MINUS):
         # a leaf tying with one of the other pass differs from it by a

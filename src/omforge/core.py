@@ -144,12 +144,19 @@ def _check_size(rank: int, n: int) -> None:
         raise ValueError(f"chirotopes are stored densely, for n <= {MAX_ELEMENTS}")
 
 
+def _failure(what: str, rule: str, witness) -> str:
+    """One violation as '<what>: <rule> fails at <witness>'."""
+    shown = " ".join(_witness_strings(witness))
+    return f"{what}: {rule} fails" + (f" at {shown}" if shown else "")
+
+
 class InvalidChirotope(ValueError):
-    """A chirotope failed the Grassmann-Pluecker check; carries the violations."""
+    """A chirotope failed the axiom check; names the first violation and
+    carries them all."""
 
     def __init__(self, violations, what: str = "invalid chirotope"):
         self.violations = tuple(violations)
-        super().__init__(f"{what}: {self.violations[:3]}")
+        super().__init__(_failure(what, *self.violations[0]))
 
 
 class InvalidCocircuits(ValueError):
@@ -159,8 +166,7 @@ class InvalidCocircuits(ValueError):
     def __init__(self, violations, what: str = "invalid cocircuit set"):
         self.violations = tuple(violations)
         axiom, witness = self.violations[0]
-        shown = " ".join(_witness_strings(witness))
-        super().__init__(f"{what}: axiom {axiom} fails at {shown}")
+        super().__init__(_failure(what, f"axiom {axiom}", witness))
 
 
 class Chirotope:

@@ -2,6 +2,7 @@
 pass/fail line each (run pytest with -s to watch them stream)."""
 
 import importlib
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from omforge.acceptance import (
     run_eight_point_campaign,
 )
 from omforge.canonical import canonical_form
+from omforge.faces import min_adjacent_mutations, mutation_bases
 
 # the modules, which the package's functions of the same names shadow
 canonical_module = importlib.import_module("omforge.canonical")
@@ -68,6 +70,23 @@ def test_eight_point_campaign_counts(ctx):
     assert stats["classes"] == 2628
     assert stats["non_euclidean"] == 18
     assert len(ctx.witnesses) == 18
+
+
+def test_paper_statistics_of_the_eight_point_classes(ctx):
+    # L (the least number of mutations through an element) and the
+    # mutation count over the campaign's classes: L >= 4 on every
+    # Euclidean class, and one non-Euclidean class with L = 3
+    ctx.ensure_campaign()
+
+    def statistics(oms):
+        counts = [len(mutation_bases(om)) for om in oms]
+        ells = Counter(min_adjacent_mutations(om) for om in oms)
+        return dict(sorted(ells.items())), min(counts), max(counts)
+
+    assert statistics(ctx.euclidean_rank4) == (
+        {4: 1120, 5: 903, 6: 460, 7: 107, 8: 13, 9: 2, 10: 5}, 8, 20
+    )
+    assert statistics(ctx.non_euclidean) == ({3: 1, 4: 9, 6: 6, 7: 2}, 7, 16)
 
 
 def test_cut_campaign_stops_at_its_budget(count_calls):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -178,6 +179,67 @@ def test_pruned_search_matches_unpruned_on_symmetric_instances(monkeypatch):
         if r > 2:  # keys of rank <= 2 are all '+' without a search
             assert builds, f"no automorphism pruning on cyclic_om({r},{n})"
         assert mine == _unpruned_key(chi)
+
+
+def test_even_rank_keys_match_unpruned_keys():
+    # one gauge solution at position r: the other negates rho_0..rho_r
+    # and every later rho, so it spells the same strings
+    from omforge.faces import flip, mutations
+
+    rng = random.Random(68)
+    c46 = cyclic_om(4, 6)
+    chis = [om_from_points(random_points(rng, 4, n)).chirotope for n in (5, 5, 6)]
+    chis += [flip(c46, cert).chirotope for cert in mutations(c46)[::2]]
+    for chi in chis:
+        mine = _colex_string(Chirotope.from_string(4, chi.n, canonical_key(chi)))
+        assert mine == _unpruned_key(chi)
+
+
+def test_even_rank_search_builds_fewer_orbits(monkeypatch):
+    # each subtree below position r is searched once at even rank, not
+    # once per gauge solution; odd rank has one solution
+    from omforge import canonical
+
+    builds = []
+    orbits = canonical._orbits
+    monkeypatch.setattr(
+        canonical, "_orbits", lambda *a: builds.append(1) or orbits(*a)
+    )
+    canonical_key(cyclic_om(4, 8).chirotope)
+    assert len(builds) <= 500
+    builds.clear()
+    canonical_key(cyclic_om(3, 8).chirotope)
+    assert len(builds) == 81
+
+
+def test_negated_pass_stops_at_its_first_tie():
+    # at rank 6 reversing the elements negates the alternating
+    # chirotope, and the symmetries of cyclic_om(6,8) carry its flips
+    # onto each other, so -chi is in the class of a flip: the negated
+    # pass ends at its first leaf, which ties the first pass
+    from omforge import canonical
+    from omforge.faces import flip, mutations
+
+    c68 = cyclic_om(6, 8)
+    chi = flip(c68, mutations(c68)[0]).chirotope
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        name = frame.f_code.co_name
+        if event == "call" and name in ("descend", "leaf"):
+            if frame.f_globals is vars(canonical):
+                calls[name, frame.f_locals["g"]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        found = canonical.key_search(chi)
+    finally:
+        sys.setprofile(previous)
+    assert found.g == 1  # the winner is the first pass's
+    assert calls["leaf", -1] == 1 and calls["leaf", 1] > 1
+    # one path down to the leaf, not a second full search
+    assert calls["descend", -1] <= 2 * chi.n < calls["descend", 1]
 
 
 def test_symmetric_classes_orbit_keys_and_distinct_keys():

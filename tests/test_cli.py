@@ -193,7 +193,11 @@ def test_chi_failing_basis_exchange_is_a_validation_failure(tmp_path, capsys, ar
             "axiom": "basis-exchange", "witness": ["(0, 2, 5)", "(1, 3, 4)", "0"]
         }
     else:
-        assert captured.out == "" and "basis-exchange" in captured.err
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert lines[0].endswith(
+            "invalid chirotope: basis-exchange fails at (0, 2, 5) (1, 3, 4) 0"
+        )
 
 
 @pytest.mark.parametrize(
@@ -382,6 +386,21 @@ def test_invalid_chirotope_exits_3(tmp_path, capsys, cmd):
     if cmd != "validate":
         err = capsys.readouterr().err
         assert err.startswith("error: invalid chirotope")
+
+
+def test_invalid_chirotope_names_its_first_violation(tmp_path, capsys):
+    bad = tmp_path / "bad.chi"
+    bad.write_text(f"3 5\n{INVALID_R3N5}\n")
+    code, report = run_json(capsys, ["validate", str(bad)])
+    first = report["violations"][0]
+    assert code == EXIT_INVALID and first["axiom"] == "grassmann-pluecker-3"
+    assert run(["topes", str(bad)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: invalid chirotope: grassmann-pluecker-3 fails at "
+        f"{' '.join(first['witness'])}\n"
+    )
+    assert first["witness"] == ["(0,)", "(1, 2, 3, 4)"]
 
 
 def test_header_only_chi_is_an_error(tmp_path, capsys):

@@ -64,6 +64,39 @@ def test_ccj_round_trip_canonical_equality(tmp_path):
     assert canonical_form(again) == canonical_form(om)
 
 
+def test_uniform_ccj_loads_without_the_axiom_check(tmp_path, count_calls):
+    # a uniform set is checked through its recovered chirotope; the
+    # cubic axiom check runs only on the sets that check rejects
+    from omforge import fileio
+    from omforge.core import InvalidCocircuits
+
+    axioms = count_calls(fileio, "validate_cocircuit_axioms")
+    for r, n in ((3, 6), (4, 8), (5, 10)):
+        om = cyclic_om(r, n)
+        path = tmp_path / f"c{r}{n}.ccj"
+        write_ccj(path, om)
+        assert read_ccj(path) == om
+    assert axioms == []
+    # not uniform: the axiom check accepts it
+    write_ccj(tmp_path / "sum.ccj", w3().direct_sum(w3()))
+    read_ccj(tmp_path / "sum.ccj")
+    assert len(axioms) == 1
+    # uniform, but one sign of one cocircuit pair changed: the axiom
+    # check names the violation
+    coc = sorted(x.to_string() for x in cyclic_om(3, 6).cocircuits)
+    swap = str.maketrans("+-", "-+")
+    x = coc[0]
+    i = next(k for k, c in enumerate(x) if c != "0")
+    y = x[:i] + x[i].translate(swap) + x[i + 1:]
+    pair = {x: y, x.translate(swap): y.translate(swap)}
+    coc = [pair.get(c, c) for c in coc]
+    path = tmp_path / "broken.ccj"
+    path.write_text(json.dumps({"n": 6, "rank": 3, "cocircuits": coc}))
+    with pytest.raises(InvalidCocircuits, match="axiom"):
+        read_ccj(path)
+    assert len(axioms) == 2
+
+
 def test_unknown_extension(tmp_path):
     path = tmp_path / "c.xyz"
     path.write_text("nope")
