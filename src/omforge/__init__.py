@@ -1,6 +1,6 @@
 """omforge: exact computation with oriented matroids.
 
-Cocircuit sets and chirotopes from rational point configurations,
+Chirotopes and their cocircuit sets from rational point configurations,
 topes and mutations, mutation flips, oriented-matroid programs and
 their Euclideaness, lexicographic extensions, and the classification
 chain (Las Vergnas / Mandel / Euclidean / realizable-by-construction).
@@ -26,6 +26,7 @@ from .core import (
     chirotope_from_cocircuits,
     cocircuits_from_chirotope,
     cocircuits_from_points,
+    om_from_cocircuits,
     om_from_points,
     realizable_extend_through,
     validate_chirotope,

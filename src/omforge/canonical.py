@@ -412,12 +412,7 @@ def canonical_search(om: OrientedMatroid) -> KeySearch:
     """`key_search` of a uniform oriented matroid, run once and kept on
     the oriented matroid."""
     if om._key_search is None:
-        chi = om.chirotope
-        if chi is None:
-            from .core import chirotope_from_cocircuits
-
-            chi = chirotope_from_cocircuits(om)
-        om._key_search = key_search(chi, invariants=_element_invariants(om))
+        om._key_search = key_search(om.chirotope, invariants=_element_invariants(om))
     return om._key_search
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .canonical import canonical_form, canonical_search
-from .core import OrientedMatroid, chirotope_from_cocircuits, validate_chirotope
+from .core import OrientedMatroid
 from .extensions import LexExtensionSpec, _mandel_pipeline_results, lex_extend
 from .faces import flip_basis, mutation_adjacency, mutation_bases
 from .programs import _verdicts, all_programs_euclidean, is_totally_non_euclidean
@@ -69,22 +69,16 @@ def mandel_witness_search(
     with it Euclidean; each candidate costs one unit of the budget.  A
     non-Euclidean input first tries the flip pipeline at each mutation
     basis whose flip is Euclidean; then come the lexicographic specs,
-    from 0:+,1:+,...,(r-1):+ on.  Cocircuits alone are searched on their
-    recovered chirotope when it is valid and gives them back.
-    Returns None when the budget runs out (undetermined, not a no)."""
+    from 0:+,1:+,...,(r-1):+ on.  Returns None when the budget runs out
+    (undetermined, not a no)."""
     if not om.is_uniform():
         raise ValueError("witness search implemented for uniform oriented matroids")
     if budget <= 0:
         return None
     if om.rank == 0:
         return MandelWitness("loop")
-    if om.chirotope is None:
-        chi = chirotope_from_cocircuits(om)
-        recovered = OrientedMatroid._from_chirotope(chi)
-        if validate_chirotope(chi).ok and recovered.cocircuits == om.cocircuits:
-            om = recovered
     spent = 0
-    if om.chirotope is not None and not all_programs_euclidean(om):
+    if not all_programs_euclidean(om):
         # one flip away from a Euclidean mutant
         for basis in mutation_bases(om):
             if spent >= budget:
@@ -212,9 +206,7 @@ class MutationGraph:
             "nodes": {
                 k: {
                     "depth": node.depth,
-                    "chirotope": node.om.chirotope.to_string()
-                    if node.om.chirotope
-                    else None,
+                    "chirotope": node.om.chirotope.to_string(),
                     "neighbors": sorted(set(node.neighbors)),
                 }
                 for k, node in self.nodes.items()
@@ -299,8 +291,6 @@ def mutation_graph_bfs(
     """
     if not seed.is_uniform():
         raise ValueError("mutation graph BFS requires a uniform seed")
-    if seed.chirotope is None:
-        raise ValueError("flip-graph search requires a seed with a chirotope")
     seed_key = canonical_form(seed)
     keys = {_labelled(seed.chirotope): seed_key}
     root = MutationGraphNode(seed_key, seed, 0)

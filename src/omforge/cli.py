@@ -229,15 +229,13 @@ def _dispatch(args) -> int:
     if cmd == "lexext":
         om = load_om(args.file)
         ext = lex_extend(om, LexExtensionSpec.parse(args.spec))
-        payload = {
+        _emit(args, {
             "n": ext.n,
             "rank": ext.rank,
             "new_element": ext.n - 1,
             "cocircuits": sorted(x.to_string() for x in ext.cocircuits),
-        }
-        if ext.chirotope is not None:
-            payload["chirotope"] = ext.chirotope.to_string()
-        _emit(args, payload)
+            "chirotope": ext.chirotope.to_string(),
+        })
         return EXIT_OK
 
     if cmd == "flip":

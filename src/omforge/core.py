@@ -1,14 +1,12 @@
-"""Oriented-matroid representations and structural operations.
+"""Oriented matroids on their chirotopes, and their structural operations.
 
-Two representations live here.  A Chirotope is the alternating sign map
-on r-subsets (uniform or not), exact over the rationals when built from
-a point configuration.  An OrientedMatroid is the cocircuit-set
-representation: it handles non-uniform cases (direct sums, special
-position) where the chirotope is absent, and it carries the rank oracle
-computed from hyperplane flats.  An OrientedMatroid that carries a
-chirotope carries a validated one; for uniform classes that chirotope is
-authoritative (mutations and flips read its signs), and the cocircuits
-are derived from it on first use.
+A Chirotope is the alternating sign map on r-subsets (uniform or not),
+exact over the rationals when built from a point configuration.  An
+OrientedMatroid is built on a valid chirotope, which fixes it up to a
+global sign (Bjoerner et al., *Oriented Matroids*, Sec. 3.5): mutations
+and flips read its signs, and the cocircuits, hyperplanes and flat ranks
+are derived from it on first use.  A cocircuit set enters through one
+checking door, `om_from_cocircuits`, which recovers its chirotope.
 """
 
 from __future__ import annotations
@@ -140,6 +138,10 @@ MAX_ELEMENTS = 20  # a chirotope's sign list has 2**n entries
 def _check_size(rank: int, n: int) -> None:
     if rank < 1 or n < rank:
         raise ValueError("need 1 <= rank <= n")
+    _check_dense(n)
+
+
+def _check_dense(n: int) -> None:
     if n > MAX_ELEMENTS:
         raise ValueError(f"chirotopes are stored densely, for n <= {MAX_ELEMENTS}")
 
@@ -296,8 +298,6 @@ class Chirotope:
 
     def dual(self) -> "Chirotope":
         """Dual map on (n-r)-subsets: chi*(E\\B) = sign(sorting (B, E\\B)) * chi(B)."""
-        if self.rank == self.n:
-            raise ValueError("the dual of a rank-n chirotope has rank 0")
         full = (1 << self.n) - 1
         signs = [0] * (1 << self.n)
         for m in self.basis_masks():
@@ -305,16 +305,6 @@ class Chirotope:
             _, parity = signed_mask(list(bits(m)) + list(bits(comp)))
             signs[comp] = parity * self.signs[m]
         return Chirotope._dense(self.n - self.rank, self.n, signs)
-
-    def restrict(self, keep: Sequence[int]) -> "Chirotope":
-        """The signs on the r-subsets of keep (ascending, at least r
-        elements), relabelled 0.. in keep's order: the chirotope of the
-        deletion of the other elements.  The relabelling keeps every
-        sorted subset sorted, so no sign changes."""
-        signs = [0] * (1 << len(keep))
-        for b in itertools.combinations(range(len(keep)), self.rank):
-            signs[mask_of(b)] = self.signs[mask_of(keep[i] for i in b)]
-        return Chirotope._dense(self.rank, len(keep), signs)
 
     def relabel(self, perm: Sequence[int]) -> "Chirotope":
         """Relabel so old element e becomes perm[e]."""
@@ -366,23 +356,29 @@ def _gp3_violation(x: int, four) -> tuple:
 def _basis_exchange_violations(chi: Chirotope) -> list:
     """Basis exchange on the support: for bases B1, B2 and x in B1 - B2,
     some y in B2 - B1 makes B1 - x + y a basis.  One violation, with the
-    first such x, per ordered pair that fails."""
+    first such x, per ordered pair that fails.
+
+    Let F be x and the y outside B1 with B1 - x + y a basis.  Then B2
+    fails at x iff it avoids F.  On a matroid F is the complement of the
+    hyperplane spanned by B1 - x, so there are few distinct F, and each
+    is matched against the bases once (`avoiding`)."""
     n, signs = chi.n, chi.signs
     bases = [m for m in chi.basis_masks() if signs[m]]
+    avoiding: dict[int, list[int]] = {}
     violations = []
     for b1 in bases:
-        # swaps[x]: the y outside B1 with B1 - x + y a basis, as a mask
         outside = [y for y in range(n) if not b1 >> y & 1]
-        swaps = {
-            x: mask_of(y for y in outside if signs[b1 ^ 1 << x | 1 << y])
-            for x in bits(b1)
-        }
-        for b2 in bases:
-            only2 = b2 & ~b1
-            x = next((x for x in bits(b1 & ~b2) if not swaps[x] & only2), None)
-            if x is not None:
-                witness = (tuple(bits(b1)), tuple(bits(b2)), x)
-                violations.append(("basis-exchange", witness))
+        walls = []
+        for x in bits(b1):
+            f = 1 << x | mask_of(y for y in outside if signs[b1 ^ 1 << x | 1 << y])
+            if f not in avoiding:
+                avoiding[f] = [b2 for b2 in bases if not b2 & f]
+            walls.append((x, f))
+        failing = {b2 for _, f in walls for b2 in avoiding[f]}
+        for b2 in bases if failing else ():
+            if b2 in failing:
+                x = next(x for x, f in walls if not b2 & f)
+                violations.append(("basis-exchange", (tuple(bits(b1)), tuple(bits(b2)), x)))
     return violations
 
 
@@ -410,44 +406,73 @@ def validate_chirotope(chi: Chirotope) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# oriented matroid (cocircuit representation)
+# flats of a cocircuit set
+# ---------------------------------------------------------------------------
+
+class _Flats:
+    """Closure and rank of element sets (bitmasks) from the hyperplanes
+    (zero sets) of a cocircuit set; closures are memoised.  The closure
+    of a set is the meet of the hyperplanes that contain it, or the
+    ground set.  No oriented matroid is assumed, so the cocircuit checks
+    can rank flats before they know that they have one."""
+
+    def __init__(self, n: int, hyperplanes: Iterable[int]):
+        self.full = (1 << n) - 1
+        self.hyperplanes = tuple(hyperplanes)
+        self._closure: dict[int, int] = {}
+
+    def closure(self, mask: int) -> int:
+        got = self._closure.get(mask)
+        if got is None:
+            got = self.full
+            for h in self.hyperplanes:
+                if mask & ~h == 0:
+                    got &= h
+            self._closure[mask] = got
+        return got
+
+    def rank(self, mask: int) -> int:
+        if mask & ~self.full:
+            raise ValueError("element outside the ground set")
+        # each element outside the closure so far raises the rank
+        rank, cl = 0, self.closure(0)
+        rest = mask & ~cl
+        while rest:
+            rank += 1
+            cl = self.closure(cl | rest & -rest)
+            rest = mask & ~cl
+        return rank
+
+
+# ---------------------------------------------------------------------------
+# oriented matroid
 # ---------------------------------------------------------------------------
 
 class OrientedMatroid:
-    """Ground set 0..n-1 plus a negation-closed cocircuit set.
+    """The oriented matroid of a valid chirotope on the ground set 0..n-1.
 
-    Immutable after construction; the hyperplane list and the rank
-    oracle are derived caches.  `provenance` records how the instance
-    arose ('from-points', 'from-chirotope', 'from-file', 'derived').
-    `chirotope` is None unless the instance was built from a validated
-    chirotope (`_from_chirotope`); then the cocircuits are derived from
-    it on first use.
+    Immutable after construction.  chi and -chi give the same oriented
+    matroid.  The cocircuits, the hyperplanes and the rank oracle are
+    caches derived from the chirotope on first use.  `provenance` records
+    how the instance arose ('from-points', 'from-chirotope', 'from-file',
+    'derived').  The constructor trusts its caller that chi is valid:
+    `cocircuits_from_chirotope` checks a chirotope first, and
+    `om_from_cocircuits` a cocircuit set.
     """
 
     def __init__(
         self,
-        n: int,
-        rank: int,
-        cocircuits: Iterable[SignVector],
+        chi: Chirotope,
         provenance: str = "derived",
         labels: Optional[Sequence[str]] = None,
     ):
-        self.n = n
-        self.rank = rank
-        self._cocircuits = frozenset(cocircuits)
+        self.chirotope = chi
+        self.n = chi.n
+        self.rank = chi.rank
         self.provenance = provenance
         self.labels = tuple(labels) if labels is not None else None
-        self.chirotope: Optional[Chirotope] = None
-        for x in self._cocircuits:
-            if x.n != n:
-                raise ValueError("cocircuit length != ground set size")
-            if -x not in self._cocircuits:
-                raise ValueError("cocircuit set not closed under negation")
-            if x.is_zero():
-                raise ValueError("zero vector among cocircuits")
-        self._closure_memo: dict[int, int] = {}
-        self._rank_memo: dict[int, int] = {}
-        self._hyperplanes: Optional[tuple[int, ...]] = None
+        self._cocircuits: Optional[frozenset[SignVector]] = None
+        self._flats: Optional[_Flats] = None
         self._by_zero: Optional[dict[int, SignVector]] = None
         self._uniform: Optional[bool] = None
         self._sorted: Optional[tuple[SignVector, ...]] = None
@@ -458,19 +483,6 @@ class OrientedMatroid:
         self._mutation_cache = None
         self._mutation_bases = None
         self._key_search = None  # canonical.KeySearch, filled on first use
-
-    @classmethod
-    def _from_chirotope(
-        cls,
-        chi: Chirotope,
-        provenance: str = "derived",
-        labels: Optional[Sequence[str]] = None,
-    ) -> "OrientedMatroid":
-        """The oriented matroid of a chirotope the caller knows is valid."""
-        out = cls(chi.n, chi.rank, (), provenance, labels)
-        out.chirotope = chi
-        out._cocircuits = None
-        return out
 
     # -- derived structure ----------------------------------------------
 
@@ -489,11 +501,10 @@ class OrientedMatroid:
             self._sorted = tuple(sorted(self.cocircuits, key=SignVector.sort_key))
         return self._sorted
 
-    def hyperplanes(self) -> tuple[int, ...]:
-        """Zero masks of the cocircuits (each is a hyperplane flat)."""
-        if self._hyperplanes is None:
-            self._hyperplanes = tuple(sorted({x.zero_mask for x in self.cocircuits}))
-        return self._hyperplanes
+    def _flat_ranks(self) -> _Flats:
+        if self._flats is None:
+            self._flats = _Flats(self.n, {x.zero_mask for x in self.cocircuits})
+        return self._flats
 
     def cocircuit_with_zero(self, zero_mask: int) -> Optional[SignVector]:
         """One cocircuit of the +- pair with the given zero set."""
@@ -505,42 +516,20 @@ class OrientedMatroid:
         return self._by_zero.get(zero_mask)
 
     def closure_mask(self, mask: int) -> int:
-        got = self._closure_memo.get(mask)
-        if got is not None:
-            return got
-        cl = self.full_mask
-        hit = False
-        for h in self.hyperplanes():
-            if mask & ~h == 0:
-                cl &= h
-                hit = True
-        if not hit:
-            cl = self.full_mask
-        self._closure_memo[mask] = cl
-        return cl
+        return self._flat_ranks().closure(mask)
 
     def subset_rank(self, elements) -> int:
         """Matroid rank of a subset (iterable of elements or a bitmask)."""
         mask = elements if isinstance(elements, int) else mask_of(elements)
-        got = self._rank_memo.get(mask)
-        if got is not None:
-            return got
-        cl = self.closure_mask(0)
-        rk = 0
-        rest = mask & ~cl
-        while rest:
-            e = rest & -rest
-            rk += 1
-            cl = self.closure_mask(cl | e)
-            rest = mask & ~cl
-        self._rank_memo[mask] = rk
-        return rk
+        return self._flat_ranks().rank(mask)
 
     def _uniform_chirotope(self) -> bool:
-        """Carries a uniform chirotope (its rank is >= 1): then no element
-        is a loop, and every element is a coloop iff r = n.  The
-        cocircuit route below is the oracle."""
-        return self.chirotope is not None and self.is_uniform()
+        """Uniform and of rank >= 1: then no element is a loop, every
+        element is a coloop iff r = n, and the mutation sign test applies
+        to every basis.  A rank-0 chirotope is uniform too, but every
+        element is a loop, and its empty basis is no mutation.  The
+        cocircuit routes below are the oracle."""
+        return self.rank >= 1 and self.is_uniform()
 
     def loops(self) -> frozenset[int]:
         if self._uniform_chirotope():
@@ -558,74 +547,18 @@ class OrientedMatroid:
         )
 
     def is_uniform(self) -> bool:
-        """All r-subsets are bases: read from the chirotope when there is
-        one, else every (r-1)-subset spans a hyperplane."""
+        """All r-subsets are bases."""
         if self._uniform is None:
-            if self.chirotope is not None:
-                self._uniform = self.chirotope.is_uniform()
-            else:
-                r = self.rank
-                hyps = self.hyperplanes()
-                self._uniform = len(hyps) == _ncr(self.n, r - 1) and all(
-                    bin(h).count("1") == r - 1 for h in hyps
-                )
+            self._uniform = self.chirotope.is_uniform()
         return self._uniform
 
     # -- structural operations -------------------------------------------
 
     def reorient(self, elements: Iterable[int]) -> "OrientedMatroid":
-        mask = mask_of(elements)
-        if self.chirotope is not None:
-            return OrientedMatroid._from_chirotope(
-                self.chirotope.reorient(bits(mask)), labels=self.labels
-            )
-        return OrientedMatroid(
-            self.n,
-            self.rank,
-            (x.reorient(mask) for x in self.cocircuits),
-            provenance="derived",
-            labels=self.labels,
-        )
+        return OrientedMatroid(self.chirotope.reorient(elements), labels=self.labels)
 
     def dual(self) -> "OrientedMatroid":
-        if self.chirotope is not None:
-            return OrientedMatroid._from_chirotope(self.chirotope.dual())
-        circuits = self._signed_circuits()
-        return OrientedMatroid(
-            self.n,
-            self.n - self.rank,
-            circuits,
-            provenance="derived",
-            labels=self.labels,
-        )
-
-    def _signed_circuits(self) -> set[SignVector]:
-        """Signed circuits by orthogonality against all cocircuits."""
-        supports: list[set[int]] = []
-        for size in range(1, self.rank + 2):
-            for s in itertools.combinations(range(self.n), size):
-                ss = set(s)
-                if self.subset_rank(s) < size and not any(c < ss for c in supports):
-                    supports.append(ss)
-        out: set[SignVector] = set()
-        for sup_set in supports:
-            sup = sorted(sup_set)
-            found = []
-            for pattern in itertools.product((PLUS, MINUS), repeat=len(sup) - 1):
-                signs = [0] * self.n
-                signs[sup[0]] = PLUS
-                for e, s in zip(sup[1:], pattern):
-                    signs[e] = s
-                cand = SignVector.from_signs(signs)
-                if all(_orthogonal(cand, y) for y in self.cocircuits):
-                    found.append(cand)
-            if len(found) != 1:
-                raise ValueError(
-                    f"circuit support {sup} admits {len(found)} signings, expected 1"
-                )
-            out.add(found[0])
-            out.add(-found[0])
-        return out
+        return OrientedMatroid(self.chirotope.dual(), labels=self.labels)
 
     def delete(self, elements: Iterable[int]) -> "OrientedMatroid":
         return self.minor(delete=elements)
@@ -634,6 +567,16 @@ class OrientedMatroid:
         return self.minor(contract=elements)
 
     def minor(self, delete: Iterable[int] = (), contract: Iterable[int] = ()) -> "OrientedMatroid":
+        """Delete some elements and contract others, by one formula:
+        chi'(B) = chi(B, F) on the r'-subsets B of the kept elements K.
+
+        F = I u J is fixed.  I is a basis of the contracted set C, and J,
+        drawn from the deleted set, completes K u I to rank r.  The
+        elements of J are coloops of the restriction to K u C u J, so
+        deleting them is the same as contracting them, and the minor is
+        that restriction contracted by I u J.  A basis whose meets with C
+        and with C u K are as large as can be holds such an I and J.
+        """
         dset, cset = set(delete), set(contract)
         if dset & cset:
             raise ValueError("delete and contract sets overlap")
@@ -644,51 +587,45 @@ class OrientedMatroid:
             labels = [self.labels[e] for e in keep]
         else:
             labels = [str(e) for e in keep]
-        if not cset and len(keep) >= self.rank and self._uniform_chirotope():
-            # the deletion keeps rank r and is uniform: its chirotope is the
-            # restriction; the cocircuit route below is the oracle
-            return OrientedMatroid._from_chirotope(
-                self.chirotope.restrict(keep), labels=labels
-            )
-        cmask = mask_of(cset)
-        new_rank = self.subset_rank(mask_of(keep) | cmask) - self.subset_rank(cmask)
+        signs = self.chirotope.signs
+        cmask, kmask = mask_of(cset), mask_of(keep)
+        fixed, best = 0, (-1, -1)
+        for m, s in enumerate(signs):
+            if s:
+                score = ((m & cmask).bit_count(), (m & (cmask | kmask)).bit_count())
+                if score > best:
+                    fixed, best = m & ~kmask, score
+        new_rank = best[1] - best[0]
         if new_rank == 0:
             raise ValueError("minor would have rank 0")
-        restricted = []
-        for x in self.cocircuits:
-            if x.support_mask & cmask:
-                continue
-            y = x.restrict(keep)
-            if not y.is_zero():
-                restricted.append(y)
-        # deletion keeps only support-minimal restrictions
-        minimal = []
-        for y in restricted:
-            if not any(
-                z.support_mask & ~y.support_mask == 0 and z.support_mask != y.support_mask
-                for z in restricted
-            ):
-                minimal.append(y)
-        return OrientedMatroid(
-            len(keep), new_rank, minimal, provenance="derived", labels=labels
-        )
+        # sorting (B, F) moves each element of B over the elements of F below it
+        below = [(fixed & ((1 << e) - 1)).bit_count() for e in keep]
+        out = [0] * (1 << len(keep))
+        for b in itertools.combinations(range(len(keep)), new_rank):
+            m, moves = fixed, 0
+            for i in b:
+                m |= 1 << keep[i]
+                moves += below[i]
+            out[mask_of(b)] = -signs[m] if moves & 1 else signs[m]
+        return OrientedMatroid(Chirotope._dense(new_rank, len(keep), out), labels=labels)
 
     def direct_sum(self, other: "OrientedMatroid") -> "OrientedMatroid":
-        n = self.n + other.n
-        cocircuits = []
-        for x in self.cocircuits:
-            cocircuits.append(SignVector(n, x.pm, x.mm))
-        shift = self.n
-        for y in other.cocircuits:
-            cocircuits.append(SignVector(n, y.pm << shift, y.mm << shift))
+        """chi(B1 u B2') = chi1(B1) chi2(B2), where B2' is B2 shifted past
+        this ground set, so B1 then B2' is sorted."""
+        n, rank = self.n + other.n, self.rank + other.rank
+        _check_dense(n)
+        signs = [0] * (1 << n)
+        for m2, s2 in enumerate(other.chirotope.signs):
+            if s2:
+                for m1, s1 in enumerate(self.chirotope.signs):
+                    if s1:
+                        signs[m1 | m2 << self.n] = s1 * s2
         labels = None
         if self.labels is not None or other.labels is not None:
             left = self.labels or tuple(str(e) for e in range(self.n))
             right = other.labels or tuple(str(e) for e in range(other.n))
             labels = list(left) + [f"{lab}'" for lab in right]
-        return OrientedMatroid(
-            n, self.rank + other.rank, cocircuits, provenance="derived", labels=labels
-        )
+        return OrientedMatroid(Chirotope._dense(rank, n, signs), labels=labels)
 
     # -- elementwise queries ----------------------------------------------
 
@@ -705,63 +642,27 @@ class OrientedMatroid:
                 return False
         return True
 
-    def inseparable_partners(self, f: int) -> list[tuple[int, str]]:
-        """Elements g inseparable from f, with the pair kind (`pair_kind`)."""
-        if all(x[f] == 0 for x in self.cocircuits):
-            raise ValueError(f"element {f} is a loop")
-        kinds = ((g, pair_kind(self, f, g)) for g in range(self.n) if g != f)
-        return [(g, kind) for g, kind in kinds if kind is not None]
-
-    def exists_u24_minor(self, through: Optional[int] = None) -> bool:
-        """Exhaustive search for a 4-point-line minor of the underlying matroid."""
-        r = self.rank
-        if r < 2 or self.n < 4:
-            return False
-        elems = range(self.n)
-        for contract in itertools.combinations(elems, r - 2):
-            if self.subset_rank(contract) != r - 2:
-                continue
-            if through is not None and through in contract:
-                continue
-            cmask = mask_of(contract)
-            rest = [e for e in elems if e not in contract]
-            for four in itertools.combinations(rest, 4):
-                if through is not None and through not in four:
-                    continue
-                ok = True
-                for e in four:
-                    if self.subset_rank(cmask | (1 << e)) != r - 1:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                for e, f in itertools.combinations(four, 2):
-                    if self.subset_rank(cmask | (1 << e) | (1 << f)) != r:
-                        ok = False
-                        break
-                if ok:
-                    return True
-        return False
-
     # -- equality ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        """Equal cocircuit sets; when both sides carry a uniform
-        chirotope, which fixes the oriented matroid up to a global sign,
-        equal chirotopes up to that sign."""
+        """Equal chirotopes up to the global sign, which is the same as
+        equal cocircuit sets."""
         if not (
             isinstance(other, OrientedMatroid)
             and self.n == other.n
             and self.rank == other.rank
         ):
             return False
-        if self._uniform_chirotope() and other._uniform_chirotope():
-            mine, theirs = self.chirotope.signs, other.chirotope.signs
-            return mine == theirs or mine == [-s for s in theirs]
-        return self.cocircuits == other.cocircuits
+        mine, theirs = self.chirotope.signs, other.chirotope.signs
+        return mine == theirs or mine == [-s for s in theirs]
 
     def __hash__(self) -> int:
-        return hash((self.n, self.rank, self.cocircuits))
+        """The hash of the chirotope negated, if need be, to make its
+        first nonzero sign +."""
+        signs = self.chirotope.signs
+        if next(s for s in signs if s) < 0:
+            signs = [-s for s in signs]
+        return hash((self.n, self.rank, tuple(signs)))
 
     def __repr__(self) -> str:
         return (
@@ -797,16 +698,6 @@ def _ncr(n: int, r: int) -> int:
     return math.comb(n, r)
 
 
-def _orthogonal(x: SignVector, y: SignVector) -> bool:
-    """Sign-orthogonality: the products x_e*y_e show both signs or none."""
-    both = x.support_mask & y.support_mask
-    if not both:
-        return True
-    agree = (x.pm & y.pm) | (x.mm & y.mm)
-    disagree = (x.pm & y.mm) | (x.mm & y.pm)
-    return bool(agree & both) and bool(disagree & both)
-
-
 # ---------------------------------------------------------------------------
 # constructions
 # ---------------------------------------------------------------------------
@@ -817,7 +708,7 @@ def cocircuits_from_chirotope(chi: Chirotope, provenance: str = "from-chirotope"
     report = validate_chirotope(chi)
     if not report.ok:
         raise InvalidChirotope(report.violations)
-    om = OrientedMatroid._from_chirotope(chi, provenance=provenance)
+    om = OrientedMatroid(chi, provenance=provenance)
     if not chi.is_uniform():
         # derive now: a non-uniform chirotope can still give one
         # hyperplane inconsistent signs, which raises here
@@ -827,8 +718,11 @@ def cocircuits_from_chirotope(chi: Chirotope, provenance: str = "from-chirotope"
 
 def _derive_cocircuits(chi: Chirotope) -> frozenset[SignVector]:
     """Cocircuits via basic-cocircuit signs: C_e = chi(e, A) for each
-    spanning (r-1)-subset A (sorted), zero on the closure of A."""
+    spanning (r-1)-subset A (sorted), zero on the closure of A.  Rank 0
+    has none."""
     r, n, signs = chi.rank, chi.n, chi.signs
+    if r == 0:
+        return frozenset()
     by_zero: dict[int, SignVector] = {}
     for a in itertools.combinations(range(n), r - 1):
         am = mask_of(a)
@@ -880,39 +774,92 @@ def om_from_points(points: Sequence[Sequence]) -> OrientedMatroid:
     return om
 
 
-def chirotope_from_cocircuits(om: OrientedMatroid) -> Chirotope:
-    """Recover a chirotope (one of the +- pair) from a uniform cocircuit set.
+def chirotope_from_cocircuits(n: int, cocircuits: Iterable[SignVector]) -> Chirotope:
+    """Recover a chirotope (one of the +- pair) from a cocircuit set on
+    n elements, uniform or not.
 
-    chi is seeded + on the first basis and propagated through basis
-    exchanges: chi(e,A) * chi(b,A) = C_A[e] * C_A[b] for the cocircuit
-    C_A of the hyperplane A, independently of the pair's sign choice.
+    chi is seeded + on the first basis found greedily in element order
+    and propagated through basis exchanges.  For b in a basis B, the
+    cocircuit C that vanishes on the closure of B - b has
+    chi(e, B-b) * chi(b, B-b) = C[e] * C[b] for every e with C[e] != 0,
+    independently of the pair's sign choice.  The set is not assumed to
+    be an oriented matroid, so the caller checks the result
+    (`om_from_cocircuits`); a missing cocircuit, or one that vanishes at
+    b, raises ValueError.
     """
-    if not om.is_uniform():
-        raise ValueError("chirotope recovery requires a uniform oriented matroid")
-    r, n = om.rank, om.n
+    by_zero: dict[int, SignVector] = {}
+    for x in cocircuits:
+        by_zero.setdefault(x.zero_mask, x)
+    flats = _Flats(n, by_zero)
+    first, cl = 0, flats.closure(0)
+    for e in range(n):
+        if not cl >> e & 1:
+            first |= 1 << e
+            cl = flats.closure(cl | 1 << e)
     signs = [0] * (1 << n)
-    first = (1 << r) - 1
     signs[first] = PLUS
     frontier = [first]
     while frontier:
         basis = frontier.pop()
-        chi_b = signs[basis]
         for b in bits(basis):
             rest = basis & ~(1 << b)
-            coc = om.cocircuit_with_zero(rest)
-            if coc is None:
-                raise ValueError("missing hyperplane cocircuit in uniform om")
-            chi_b_at = signed_mask([b, *bits(rest)])[1] * chi_b
-            for e in range(n):
-                if basis >> e & 1 or coc[e] == 0:
-                    continue
-                new_basis = rest | (1 << e)
-                if signs[new_basis]:
-                    continue
-                chi_e_at = coc[e] * coc[b] * chi_b_at
-                signs[new_basis] = signed_mask([e, *bits(rest)])[1] * chi_e_at
-                frontier.append(new_basis)
-    return Chirotope._dense(r, n, signs)
+            coc = by_zero.get(flats.closure(rest))
+            if coc is None or not coc[b]:
+                raise ValueError(f"no cocircuit separates {b} from {list(bits(rest))}")
+            # chi(e, rest) is the sorted sign, negated when an odd number
+            # of rest's elements precede e
+            chi_b_at = coc[b] * signs[basis]
+            if (rest & ((1 << b) - 1)).bit_count() & 1:
+                chi_b_at = -chi_b_at
+            for e in bits(coc.support_mask & ~basis):
+                new_basis = rest | 1 << e
+                if not signs[new_basis]:
+                    s = coc[e] * chi_b_at
+                    odd = (rest & ((1 << e) - 1)).bit_count() & 1
+                    signs[new_basis] = -s if odd else s
+                    frontier.append(new_basis)
+    return Chirotope._dense(first.bit_count(), n, signs)
+
+
+def om_from_cocircuits(
+    n: int,
+    rank: int,
+    cocircuits: Iterable[SignVector],
+    provenance: str = "derived",
+    labels: Optional[Sequence[str]] = None,
+) -> OrientedMatroid:
+    """The oriented matroid of a cocircuit set: the one door for
+    cocircuit input.  A wrong length, a set not closed under negation, a
+    zero vector, a rank other than the declared one or more than
+    MAX_ELEMENTS elements raises ValueError.  The set is accepted iff
+    its recovered chirotope is valid and derives exactly the set, as an
+    oriented matroid's own chirotope does; any other set raises
+    `InvalidCocircuits`, naming the first violation of the cocircuit
+    axioms in the order given."""
+    vecs = list(cocircuits)
+    vset = frozenset(vecs)
+    for x in vset:
+        if x.n != n:
+            raise ValueError("cocircuit length != ground set size")
+        if -x not in vset:
+            raise ValueError("cocircuit set not closed under negation")
+        if x.is_zero():
+            raise ValueError("zero vector among cocircuits")
+    flats = _Flats(n, {x.zero_mask for x in vset})
+    actual = flats.rank(flats.full)
+    if actual != rank:
+        raise ValueError(f"declared rank {rank}, but the cocircuits have rank {actual}")
+    _check_dense(n)  # before the dense recovery
+    try:
+        chi = chirotope_from_cocircuits(n, vset)
+        if validate_chirotope(chi).ok and _derive_cocircuits(chi) == vset:
+            om = OrientedMatroid(chi, provenance, labels)
+            om._cocircuits = vset  # derived just now
+            return om
+    except ValueError:
+        pass
+    report = validate_cocircuit_axioms(vecs, n=n, rank=rank)
+    raise InvalidCocircuits(report.violations)
 
 
 def validate_cocircuit_axioms(
@@ -977,15 +924,12 @@ def validate_cocircuit_axioms(
                     e = ebit.bit_length() - 1
                     violations.append(("C3", (x, y, e)))
     if rank is not None and not violations:
-        try:
-            om = OrientedMatroid(n, rank, vecs)
-            if om.subset_rank(om.full_mask) != rank:
-                violations.append(("rank", ("ground set rank mismatch",)))
-            for x in vecs:
-                if om.subset_rank(x.zero_mask) != rank - 1:
-                    violations.append(("rank", (x,)))
-        except ValueError as exc:
-            violations.append(("rank", (str(exc),)))
+        flats = _Flats(n, {x.zero_mask for x in vecs})
+        if flats.rank(flats.full) != rank:
+            violations.append(("rank", ("ground set rank mismatch",)))
+        for x in vecs:
+            if flats.rank(x.zero_mask) != rank - 1:
+                violations.append(("rank", (x,)))
     return ValidationReport(not violations, tuple(violations))
 
 

@@ -1,18 +1,18 @@
 """Single-element extensions and their interaction with mutations.
 
 Lexicographic extensions come in two routes that must agree.  The
-chirotope route takes a uniform oriented matroid with a chirotope and a
-full-length priority list, and writes the extension's signs directly;
-it is trusted without a Grassmann-Pluecker check, since a lexicographic
-extension of a valid chirotope is valid.  The localization route (old
-cocircuits pick up the localization sign, new cocircuits appear on
-every line where the localization changes sign between neighbours)
-takes every other input and is the chirotope route's test oracle.  On
-top sit the mutation creation/destruction checks, the head-swap
-isomorphism, perturbation of an extension off a vertex, and the
-flip/extension exchange pipeline that manufactures Mandel witnesses
-from Euclidean mutants; the pipeline tests and flips the shifted basis
-by the chirotope sign test.
+chirotope route, which `lex_extend` takes, writes the extension's signs
+directly; it is trusted without a Grassmann-Pluecker check, since a
+lexicographic extension of a valid chirotope is valid.  The
+localization route (old cocircuits pick up the localization sign, new
+cocircuits appear on every line where the localization changes sign
+between neighbours) is its test oracle, and the route of perturbations;
+its cocircuit set enters through `om_from_cocircuits`, which recovers
+its chirotope.  On top sit the mutation creation/destruction checks,
+the head-swap isomorphism, perturbation of an extension off a vertex,
+and the flip/extension exchange pipeline that manufactures Mandel
+witnesses from Euclidean mutants; the pipeline tests and flips the
+shifted basis by the chirotope sign test.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .core import Chirotope, OrientedMatroid, pair_kind, validate_cocircuit_axioms
+from .core import Chirotope, InvalidCocircuits, OrientedMatroid, om_from_cocircuits, pair_kind
 from .faces import (
     MutationCertificate,
     adjacent_cocircuits,
@@ -74,19 +74,6 @@ class LexExtensionSpec:
         return ",".join(f"{e}:{sign_char(a)}" for e, a in self.terms)
 
 
-def localization_sign(spec: LexExtensionSpec, x: SignVector) -> int:
-    """First-nonzero signed lookup along the priority list."""
-    for e, a in spec.terms:
-        s = x[e]
-        if s:
-            return a * s
-    return 0
-
-
-def lex_localization(om: OrientedMatroid, spec: LexExtensionSpec) -> dict:
-    return {x: localization_sign(spec, x) for x in om.cocircuits}
-
-
 def extend_by_localization(
     om: OrientedMatroid, sigma: Mapping[SignVector, int], pos: Optional[int] = None
 ) -> OrientedMatroid:
@@ -94,7 +81,9 @@ def extend_by_localization(
 
     Old cocircuits gain the sigma value at the new coordinate; each
     neighbour pair (conformal, comodular) whose sigma values are
-    opposite and nonzero contributes the new cocircuit (X o Y, 0).
+    opposite and nonzero contributes the new cocircuit (X o Y, 0).  The
+    set is checked by `om_from_cocircuits`: a sigma that is no
+    localization raises `InvalidCocircuits`.
     """
     if pos is None:
         pos = om.n
@@ -110,23 +99,18 @@ def extend_by_localization(
     if om.labels is not None:
         labels = list(om.labels)
         labels.insert(pos, f"x{om.n}")
-    return OrientedMatroid(
-        om.n + 1, om.rank, out, provenance="derived", labels=labels
-    )
+    return om_from_cocircuits(om.n + 1, om.rank, out, labels=labels)
 
 
 def lex_extension_chirotope(om: OrientedMatroid, spec: LexExtensionSpec) -> Chirotope:
     """Chirotope of om[spec]: on tuples through the new element p, the
-    first nonzero of a_i * chi(e_i, lambda) decides the sign.
+    first nonzero of a_i * chi(e_i, lambda) decides the sign, and the
+    sign is 0 when there is none (a spec shorter than the rank).
 
     p is the top bit, so every old sign keeps its mask and the new signs
     sit at the masks of lambda + {p}."""
     chi = om.chirotope
-    if chi is None:
-        raise ExtensionError("no chirotope available")
     r, n = chi.rank, chi.n
-    if len(spec.terms) != r:
-        raise ExtensionError("chirotope route needs a full-length priority list")
     top = 1 << n
     signs = chi.signs + [0] * top
     for lam in itertools.combinations(range(n), r - 1):
@@ -147,12 +131,11 @@ def lex_extension_chirotope(om: OrientedMatroid, spec: LexExtensionSpec) -> Chir
 def lex_extend(om: OrientedMatroid, spec: LexExtensionSpec) -> OrientedMatroid:
     """Lexicographic extension; the new element is appended as index n.
 
-    A uniform oriented matroid with a chirotope and a full-length spec
-    takes the chirotope route, which is trusted without a check: a
-    lexicographic extension of a valid chirotope is valid, and any r
-    distinct elements of a uniform oriented matroid are independent.
-    Every other input takes the localization route, which is also the
-    chirotope route's test oracle.
+    Its chirotope (`lex_extension_chirotope`) is trusted without a
+    check: a lexicographic extension of a valid chirotope by independent
+    elements is valid, and any k <= r distinct elements of a uniform
+    oriented matroid are independent.  The localization route
+    (`extend_by_localization`) is its test oracle.
     """
     elems = spec.elements()
     if any(not 0 <= e < om.n for e in elems):
@@ -160,11 +143,9 @@ def lex_extend(om: OrientedMatroid, spec: LexExtensionSpec) -> OrientedMatroid:
     k = len(elems)
     if k > om.rank:
         raise ExtensionError("spec longer than rank")
-    if om.chirotope is not None and k == om.rank and om.is_uniform():
-        return OrientedMatroid._from_chirotope(lex_extension_chirotope(om, spec))
-    if om.subset_rank(elems) != k:
+    if not om.is_uniform() and om.subset_rank(elems) != k:
         raise ExtensionError("spec elements are dependent")
-    return extend_by_localization(om, lex_localization(om, spec))
+    return OrientedMatroid(lex_extension_chirotope(om, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +201,10 @@ def swap_isomorphism_check(om: OrientedMatroid, spec: LexExtensionSpec) -> bool:
 
 def _swapped(om: OrientedMatroid, i: int, j: int) -> OrientedMatroid:
     """om with elements i and j exchanged: its chirotope relabelled by
-    the transposition when it has one, so that equality compares signs
-    (`OrientedMatroid.__eq__`), else its cocircuits swapped."""
-    if om.chirotope is None:
-        return OrientedMatroid(om.n, om.rank, (x.swap(i, j) for x in om.cocircuits))
+    the transposition."""
     perm = list(range(om.n))
     perm[i], perm[j] = j, i
-    return OrientedMatroid._from_chirotope(om.chirotope.relabel(perm))
+    return OrientedMatroid(om.chirotope.relabel(perm))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +303,8 @@ def perturb_extension(
     The e-values of all other old cocircuits are preserved; x takes
     new_sign at e.  Internally e is deleted and re-extended from the
     modified localization, so cocircuits created or absorbed by the move
-    come out right; the result must pass the cocircuit axioms.
+    come out right; a result that is no oriented matroid raises
+    PerturbationError.
     """
     if x not in om_ext.cocircuits:
         raise PerturbationError("x is not a cocircuit")
@@ -349,13 +328,10 @@ def perturb_extension(
         raise PerturbationError("x does not restrict to a cocircuit without e")
     sigma[x0] = new_sign
     sigma[-x0] = -new_sign
-    out = extend_by_localization(base, sigma, pos=e)
-    report = validate_cocircuit_axioms(out.cocircuits, n=out.n, rank=out.rank)
-    if not report.ok:
-        raise PerturbationError(
-            f"perturbed set violates cocircuit axioms: {report.violations[:3]}"
-        )
-    return out
+    try:
+        return extend_by_localization(base, sigma, pos=e)
+    except InvalidCocircuits as exc:
+        raise PerturbationError(f"perturbed set: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +365,8 @@ def _extend_then_flip(
     (f, e2, ..., er) has the all-plus tope, extended by
     [f+, g-, e3-, ..., er-] and flipped at (f', e2, ..., er).  Returns the
     reoriented om, its reoriented elements, the spec and the flip."""
-    if not om.is_uniform() or om.chirotope is None:
-        raise ExtensionError("uniform oriented matroid with chirotope required")
+    if not om.is_uniform():
+        raise ExtensionError("uniform oriented matroid required")
     f = basis_order[0]
     if g in basis_order:
         raise ExtensionError("g must avoid the mutation")

@@ -20,12 +20,11 @@ normalization.  Mutations are identified with bases; a certificate
 carries the normalized base cocircuits and their composition (one tope
 of the antipodal pair).
 
-For a uniform oriented matroid with a chirotope, the chirotope is
-authoritative: its mutation bases come from the sign test
-`Chirotope.is_mutation`, and a flip negates one sign and derives the
-child's cocircuits only when something asks for them.  The cocircuit
-route (`mutation_from_basis` over every basis) is the oracle, and the
-route for oriented matroids given by cocircuits alone.
+For a uniform oriented matroid of rank >= 1, the mutation bases come
+from the chirotope's sign test `Chirotope.is_mutation`, and a flip
+negates one sign and derives the child's cocircuits only when something
+asks for them.  The cocircuit route (`mutation_from_basis` over every
+basis) is the oracle, and the route for the other oriented matroids.
 
 A flip inherits the mutation bases of its parent when they are known.
 The sign test at a basis B' reads only the signs of the bases that
@@ -228,7 +227,7 @@ def certificate_topes(om: OrientedMatroid, basis: Iterable[int]) -> frozenset[Si
 def mutations(om: OrientedMatroid) -> tuple[MutationCertificate, ...]:
     """Certificates over all bases, one per basis, deterministic order."""
     if om._mutation_cache is None:
-        if om.chirotope is not None and om.is_uniform():
+        if om._uniform_chirotope():
             candidates = mutation_bases(om)
         else:
             candidates = (
@@ -244,8 +243,8 @@ def mutation_bases(om: OrientedMatroid) -> tuple[tuple[int, ...], ...]:
     """The mutation bases in lexicographic order: by the sign test on a
     uniform oriented matroid's chirotope, else the bases of `mutations`."""
     if om._mutation_bases is None:
-        chi = om.chirotope
-        if chi is not None and om.is_uniform():
+        if om._uniform_chirotope():
+            chi = om.chirotope
             om._mutation_bases = tuple(
                 b for b in itertools.combinations(range(om.n), om.rank)
                 if chi.is_mutation(mask_of(b))
@@ -288,7 +287,7 @@ def flip(om: OrientedMatroid, cert: MutationCertificate) -> OrientedMatroid:
 def flip_basis(om: OrientedMatroid, basis: Iterable[int]) -> OrientedMatroid:
     """Negate the chirotope on a mutation basis.
 
-    Uniform-with-chirotope only.  The sign test decides the mutation, so
+    Uniform of rank >= 1 only.  The sign test decides the mutation, so
     the flipped chirotope is valid without a check; the child derives
     its cocircuits on first use.  `cocircuits_from_chirotope` of the
     flipped chirotope is the oracle this is tested against.
@@ -302,16 +301,16 @@ def flip_basis(om: OrientedMatroid, basis: Iterable[int]) -> OrientedMatroid:
     verdicts once om has decided them (the flip rule in the `programs`
     docstring).
     """
+    if not om._uniform_chirotope():
+        raise ValueError("flip requires a uniform oriented matroid of rank >= 1")
     chi = om.chirotope
-    if chi is None or not om.is_uniform():
-        raise ValueError("flip requires a uniform oriented matroid with chirotope")
     b = tuple(sorted(set(basis)))
     if len(b) != om.rank or not all(0 <= e < om.n for e in b):
         raise ValueError(f"{b} is not a basis")
     m = mask_of(b)
     if not chi.is_mutation(m):
         raise ValueError(f"{b} is not a mutation basis")
-    child = OrientedMatroid._from_chirotope(chi.with_basis_flipped(b))
+    child = OrientedMatroid(chi.with_basis_flipped(b))
     if om._mutation_bases is not None:
         child._mutation_bases = _inherited_bases(om._mutation_bases, child.chirotope, m)
     child._flipped_from = (m, om)

@@ -5,7 +5,7 @@
 .pts  line 1 "r n"; then n lines of r integers (homogeneous vectors).
 .ccj  JSON {"n", "rank", "labels"?, "cocircuits": [sign strings]},
       negation-closed; `read_ccj` checks that the set is an oriented
-      matroid.
+      matroid and recovers its chirotope (`core.om_from_cocircuits`).
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from .core import (
     Chirotope,
     InvalidCocircuits,
     OrientedMatroid,
-    chirotope_from_cocircuits,
     cocircuits_from_chirotope,
+    om_from_cocircuits,
     om_from_points,
-    validate_cocircuit_axioms,
 )
 from .signs import SignVector
 
@@ -65,43 +64,19 @@ def write_pts(path, points) -> None:
 
 
 def read_ccj(path) -> OrientedMatroid:
-    """A .ccj file's oriented matroid, after a check that the set is one:
-    a uniform set through its recovered chirotope, any set that fails
-    that through the cocircuit axioms (`InvalidCocircuits` names the
-    first violation)."""
+    """A .ccj file's oriented matroid, through `om_from_cocircuits`:
+    the chirotope recovered from a set that is an oriented matroid, and
+    for any other set `InvalidCocircuits`, naming the first violation of
+    the cocircuit axioms in the file's order."""
     n, rank, cocircuits, labels = read_ccj_fields(path)
     try:
-        om = OrientedMatroid(
+        return om_from_cocircuits(
             n, rank, cocircuits, provenance="from-file", labels=labels
         )
+    except InvalidCocircuits as exc:
+        raise InvalidCocircuits(exc.violations, f"{path}: invalid cocircuit set") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    actual = om.subset_rank(om.full_mask)
-    if actual != om.rank:
-        raise ValueError(
-            f"{path}: declared rank {om.rank}, but the cocircuits have rank {actual}"
-        )
-    if _uniform_and_valid(om):
-        return om
-    report = validate_cocircuit_axioms(cocircuits, n=n, rank=rank)
-    if not report.ok:
-        raise InvalidCocircuits(report.violations, f"{path}: invalid cocircuit set")
-    return om
-
-
-def _uniform_and_valid(om: OrientedMatroid) -> bool:
-    """A uniform set is an oriented matroid iff the chirotope recovered
-    from it is valid and derives exactly the set: a real one gives back
-    its own chirotope.  That costs one chirotope check, where the axiom
-    check is cubic in the cocircuits; False sends every other set to the
-    axiom check."""
-    if om.rank < 1 or not om.is_uniform():
-        return False
-    try:  # InvalidChirotope is a ValueError
-        derived = cocircuits_from_chirotope(chirotope_from_cocircuits(om))
-    except ValueError:
-        return False
-    return derived.cocircuits == om.cocircuits
 
 
 def read_ccj_fields(path) -> tuple:

@@ -10,10 +10,10 @@ directed edges; direction-0 edges are never traversable.
 read one cache per oriented matroid: the set of its non-Euclidean
 programs, decided on first use and empty for a Euclidean class.
 
-For a uniform oriented matroid of rank r >= 2 that carries a chirotope,
-the verdicts come from the chirotope's signs by pseudoline order, and so
-do those of the extension programs that the Mandel checks decide
-(`_verdicts`).  Signs are read on ordered tuples with U sorted first.
+For a uniform oriented matroid of rank r >= 2, the verdicts come from
+the chirotope's signs by pseudoline order, and so do those of the
+extension programs that the Mandel checks decide (`_verdicts`).  Signs
+are read on ordered tuples with U sorted first.
 Fix g and an (r-2)-subset U without g.  The vertices on the line U are
 the cocircuits X_a with zero set U+a, for a outside U+g; normalised to
 X_g = +, they are X_a(e) = chi(U,a,e) chi(U,a,g).  The elements of the
@@ -67,8 +67,8 @@ only the pairs inside B or outside it (`_non_euclidean_programs`): 12 of
 looks past its parent, and an undecided parent leaves it to decide all.
 
 `is_euclidean`, which returns directed-cycle witnesses, always builds
-the cocircuit graph; it is the oracle for the sign route, for the flip
-rule, and the route for every other input.
+the cocircuit graph; it is the oracle for the sign route and the flip
+rule, and the route for every input the sign route does not take.
 """
 
 from __future__ import annotations
@@ -463,7 +463,7 @@ def _sign_verdicts(
     om: OrientedMatroid, programs: list[tuple[int, int]]
 ) -> Iterator[tuple[tuple[int, int], bool]]:
     """Verdicts of valid programs of a uniform oriented matroid of rank
-    >= 2 with a chirotope, read from the chirotope's signs by the
+    >= 2, read from the chirotope's signs by the
     pseudoline rule in the module docstring.  programs lists (g, f)
     grouped by g.  Each unordered pair {g, f} is decided once, and its
     mirror answered from that verdict (the mirror lemma); the paths of
@@ -498,10 +498,10 @@ def _verdicts(
     om: OrientedMatroid, programs: list[tuple[int, int]]
 ) -> Iterator[tuple[tuple[int, int], bool]]:
     """((g, f), Euclidean?) for valid programs of om, a list grouped by
-    g: from the signs for a uniform oriented matroid of rank >= 2 with a
-    chirotope, else from the cocircuit graph (`is_euclidean`).  Lazy, so
-    a caller that stops early decides no further program."""
-    if om.rank >= 2 and om._uniform_chirotope():
+    g: from the signs for a uniform oriented matroid of rank >= 2, else
+    from the cocircuit graph (`is_euclidean`).  Lazy, so a caller that
+    stops early decides no further program."""
+    if om.rank >= 2 and om.is_uniform():
         return _sign_verdicts(om, programs)
     return (
         ((g, f), is_euclidean(Program(om, g, f)).euclidean)

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import json
 import random
 from collections import deque
 
@@ -14,11 +15,13 @@ from omforge.classify import (
     mutation_graph_bfs,
     summary_table,
 )
+from omforge.cli import EXIT_INVALID, run
 from omforge.core import (
     Chirotope,
-    OrientedMatroid,
+    InvalidCocircuits,
     chirotope_from_cocircuits,
     cocircuits_from_chirotope,
+    om_from_cocircuits,
     om_from_points,
 )
 from omforge.corpus import cyclic_om, non_euclidean_848, random_points, w3
@@ -82,26 +85,42 @@ def test_mandel_witness_budget_runs_out_in_flip_phase():
 
 def test_mandel_witness_from_cocircuits_alone(non_euclidean_om):
     # a uniform class given by its cocircuits is searched on its
-    # recovered chirotope, and gets the chirotope's witness and report
+    # recovered chirotope, which gives back the cocircuits, and gets the
+    # same witness and report as the class's own chirotope
     om = non_euclidean_om
-    bare = OrientedMatroid(om.n, om.rank, om.cocircuits)
-    assert bare.chirotope is None
-    assert mandel_witness_search(bare, budget=5) == mandel_witness_search(om)
-    assert classify(bare).to_json() == classify(om).to_json()
+    copy = om_from_cocircuits(om.n, om.rank, om.cocircuits)
+    assert copy.cocircuits == om.cocircuits
+    assert mandel_witness_search(copy, budget=5) == mandel_witness_search(om)
+    assert classify(copy).to_json() == classify(om).to_json()
 
 
-def test_mandel_witness_ignores_a_recovery_that_changes_cocircuits():
+def test_mandel_witness_ignores_a_recovery_that_changes_cocircuits(tmp_path, capsys):
     # one sign changed in one cocircuit pair: not an oriented matroid, but
     # its recovered chirotope is valid (it is non_euclidean_848's), so
-    # only the cocircuit comparison keeps the search off that chirotope
+    # only the cocircuit comparison rejects the set, and every command
+    # exits 3 on it as a .ccj file
     src = non_euclidean_848()
     x = src.sorted_cocircuits()[0]
     y = SignVector(x.n, x.pm ^ 1, x.mm ^ 1)
-    bad = OrientedMatroid(src.n, src.rank, (src.cocircuits - {x, -x}) | {y, -y})
-    recovered = cocircuits_from_chirotope(chirotope_from_cocircuits(bad))
-    assert recovered.cocircuits != bad.cocircuits
-    assert mandel_witness_search(recovered, budget=5) is not None
-    assert mandel_witness_search(bad, budget=5) is None
+    bad = sorted((src.cocircuits - {x, -x}) | {y, -y}, key=SignVector.sort_key)
+    chi = chirotope_from_cocircuits(src.n, bad)
+    assert cocircuits_from_chirotope(chi).cocircuits == src.cocircuits
+    with pytest.raises(InvalidCocircuits, match="axiom C3"):
+        om_from_cocircuits(src.n, src.rank, bad)
+    path = tmp_path / "bad.ccj"
+    path.write_text(json.dumps(
+        {"n": 8, "rank": 4, "cocircuits": [v.to_string() for v in bad]}
+    ))
+    for argv in (
+        ["validate"], ["cocircuits"], ["topes"], ["mutations"],
+        ["euclidean", "--g", "0", "--f", "1"], ["euclidean-all"],
+        ["lexext", "--spec", "0:+,1:+,2:+,3:+"], ["flip", "--basis", "0,1,2,3"],
+        ["perturb", "--cocircuit", "0+0000+0", "--element", "0"], ["classify"],
+        ["mutation-graph"], ["mandel-pipeline", "--mutation", "0,1,2,3", "--g", "4"],
+        ["summary"],
+    ):
+        assert run([argv[0], str(path), *argv[1:]]) == EXIT_INVALID, argv
+    capsys.readouterr()
 
 
 def test_mandel_witness_non_euclidean(non_euclidean_om):

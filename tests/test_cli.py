@@ -118,6 +118,21 @@ def test_topes_of_rank0_is_the_zero_vector(tmp_path, capsys):
     assert payload["count"] == 1 and payload["topes"] == ["000"]
 
 
+def test_element_outside_the_ground_set_is_an_error(w3_chi, capsys):
+    # the rank of a set with an element past n has no end to its loop
+    assert run(["mandel-pipeline", w3_chi, "--mutation", "0,3", "--g", "1"]) == EXIT_IO
+    assert "outside the ground set" in capsys.readouterr().err
+
+
+def test_rank0_chi_is_rejected(tmp_path, capsys):
+    # the rank-0 chirotope exists, but a sign string has rank >= 1
+    path = tmp_path / "r0.chi"
+    path.write_text("0 3\n+\n")
+    for command in ("validate", "topes"):
+        assert run([command, str(path)]) == EXIT_IO
+        assert "need 1 <= rank <= n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["mutations", "classify", "validate"])
 def test_rank0_ccj_has_no_mutation(tmp_path, capsys, command):
     path = tmp_path / "r0.ccj"

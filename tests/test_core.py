@@ -3,17 +3,29 @@ import random
 from fractions import Fraction
 
 import pytest
+from cocircuit_oracles import (
+    coloops_of,
+    direct_sum_cocircuits,
+    dual_cocircuits,
+    in_general_position,
+    loops_of,
+    minor_cocircuits,
+    special_position,
+)
 
 from omforge.core import (
     Chirotope,
+    InvalidCocircuits,
     OrientedMatroid,
     _nullspace,
     chirotope_from_cocircuits,
     cocircuits_from_chirotope,
     cocircuits_from_points,
+    om_from_cocircuits,
     om_from_points,
     det_sign,
     matrix_rank,
+    pair_kind,
     realizable_extend_through,
     validate_chirotope,
     validate_cocircuit_axioms,
@@ -247,9 +259,8 @@ def test_loops_and_coloops_from_chirotope_match_cocircuit_route():
     for r, n in ((1, 4), (3, 3), (4, 5), (5, 7)):
         for _ in range(3):
             om = om_from_points(random_points(rng, r, n))
-            copy = OrientedMatroid(om.n, om.rank, om.cocircuits)
-            assert om.loops() == copy.loops() == frozenset()
-            assert om.coloops() == copy.coloops()
+            assert om.loops() == loops_of(om) == frozenset()
+            assert om.coloops() == coloops_of(om)
             assert om.coloops() == (frozenset(range(n)) if r == n else frozenset())
     # a uniform chirotope answers without deriving its cocircuits
     om = cocircuits_from_chirotope(cyclic_om(4, 8).chirotope)
@@ -273,9 +284,15 @@ def test_dual_mutation_count_matches():
 
 
 def test_dual_general_path_matches_chirotope_path():
-    om = cyclic_om(3, 5)
-    stripped = OrientedMatroid(om.n, om.rank, om.cocircuits)
-    assert stripped.dual() == om.dual()
+    # the dual chirotope against the signed circuits by orthogonality,
+    # also where the dual has rank 0 or rank n
+    rng = random.Random(23)
+    oms = [cyclic_om(3, 5), w3().direct_sum(w3()), cyclic_om(3, 3), special_position(rng, 3, 6)]
+    for om in oms:
+        dual = om.dual()
+        assert (dual.n, dual.rank) == (om.n, om.n - om.rank)
+        assert dual.cocircuits == dual_cocircuits(om)
+        assert dual.dual() == om
 
 
 def test_deletion_contraction_swap_under_duality():
@@ -311,6 +328,132 @@ def test_minor_errors():
         w3().minor(delete={0, 1, 2})
     with pytest.raises(ValueError):
         w3().minor(delete={0}, contract={0})
+    # a rank-0 chirotope exists, but a minor of rank 0 is refused
+    with pytest.raises(ValueError, match="rank 0"):
+        w3().contract({0, 1})
+
+
+def test_minors_match_cocircuit_minor():
+    # contractions, deletions and both at once, on configurations in
+    # special position, against the cocircuit minor
+    rng = random.Random(61)
+    shapes = set()
+    for r, n in ((2, 6), (3, 7), (4, 8)):
+        for _ in range(4):
+            om = special_position(rng, r, n)
+            for _ in range(5):
+                elems = rng.sample(range(n), rng.randint(1, 4))
+                split = rng.randint(0, len(elems))
+                delete, contract = elems[:split], elems[split:]
+                rank, cocircuits = minor_cocircuits(om, delete, contract)
+                if rank == 0:
+                    with pytest.raises(ValueError, match="rank 0"):
+                        om.minor(delete, contract)
+                    continue
+                got = om.minor(delete, contract)
+                assert (got.n, got.rank) == (n - len(elems), rank)
+                assert got.cocircuits == cocircuits
+                dropped = rank < om.rank - om.subset_rank(contract)
+                shapes.add((bool(delete), bool(contract), dropped))
+    # pure deletions, pure contractions and mixed minors, some of them
+    # deleting coloops of what is kept
+    assert {(d, c) for d, c, _ in shapes} == {(True, False), (False, True), (True, True)}
+    assert any(dropped for _, _, dropped in shapes)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: (w3(), w3()),
+        lambda: (cyclic_om(2, 4), cyclic_om(1, 2)),
+        lambda: (cyclic_om(2, 3), special_position(random.Random(71), 3, 6)),
+        lambda: (cyclic_om(3, 3), om_from_cocircuits(2, 0, ())),
+    ],
+    ids=["w3+w3", "c24+c12", "c23+special", "free+rank0"],
+)
+def test_direct_sum_matches_zero_padded_cocircuits(make):
+    a, b = make()
+    s = a.direct_sum(b)
+    assert (s.n, s.rank) == (a.n + b.n, a.rank + b.rank)
+    assert s.cocircuits == direct_sum_cocircuits(a, b)
+    assert validate_chirotope(s.chirotope).ok
+
+
+# -- cocircuit input ------------------------------------------------------------
+
+def test_non_uniform_cocircuit_set_carries_its_chirotope():
+    # om_from_cocircuits recovers the chirotope of a non-uniform set,
+    # up to sign
+    rng = random.Random(67)
+    oms = [special_position(rng, r, n) for r, n in ((2, 5), (3, 7), (4, 8))]
+    oms += [w3().direct_sum(w3()), cyclic_om(4, 8).contract({2}).delete({5})]
+    for om in oms:
+        got = om_from_cocircuits(om.n, om.rank, om.cocircuits)
+        assert got.chirotope in (om.chirotope, om.chirotope.negate())
+    assert not any(om.is_uniform() for om in oms[:4])
+
+
+def test_om_from_cocircuits_plain_errors():
+    # shape errors are ValueErrors, not axiom failures
+    coc = sorted(w3().cocircuits, key=SignVector.sort_key)
+    cases = [
+        (4, 2, coc, "length"),
+        (3, 2, coc[1:], "negation"),
+        (3, 2, coc + [sv("000")], "zero vector"),
+        (3, 3, coc, "declared rank 3"),
+        (3, 1, (), "declared rank 1"),
+        (3, -1, (), "declared rank -1"),
+        (21, 1, [sv("+" * 21), sv("-" * 21)], "n <= 20"),
+    ]
+    for n, rank, vecs, message in cases:
+        with pytest.raises(ValueError, match=message) as info:
+            om_from_cocircuits(n, rank, vecs)
+        assert not isinstance(info.value, InvalidCocircuits)
+
+
+def test_om_from_cocircuits_decides_like_the_axioms():
+    # one entry of one cocircuit pair changed, on sets uniform or not:
+    # the door accepts exactly the sets that pass the cocircuit axioms.
+    # First a set where the cocircuit vanishing on the closure of B - b
+    # also vanishes at b: the recovery must stop, as it can sign no
+    # basis from there
+    changed = [sv(s) for s in (
+        "+-+0+", "-+-0-", "+0+-+", "-0-+-", "0+---", "0-+++", "0+0-0", "0-0+0")]
+    with pytest.raises(InvalidCocircuits):
+        om_from_cocircuits(5, 2, changed)
+    rng = random.Random(73)
+    outcomes = set()
+    for _ in range(120):
+        r = rng.randint(2, 3)
+        om = special_position(rng, r, r + 3) if rng.random() < 0.5 else (
+            om_from_points(random_points(rng, r, r + 2)))
+        vecs = sorted(om.cocircuits, key=SignVector.sort_key)
+        x, e = rng.choice(vecs), rng.randrange(om.n)
+        signs = list(x)
+        signs[e] = rng.choice([s for s in (1, 0, -1) if s != signs[e]])
+        y = SignVector.from_signs(signs)
+        if y.is_zero():
+            continue
+        changed = [v for v in vecs if v not in (x, -x)] + [y, -y]
+        expected = validate_cocircuit_axioms(changed, n=om.n, rank=om.rank).ok
+        try:
+            om_from_cocircuits(om.n, om.rank, changed)
+            outcomes.add(True)
+            assert expected
+        except InvalidCocircuits:
+            outcomes.add(False)
+            assert not expected
+        except ValueError as exc:  # the change moved the rank
+            assert "declared rank" in str(exc)
+    assert outcomes == {True, False}
+
+
+def test_rank0_cocircuit_set():
+    om = om_from_cocircuits(3, 0, ())
+    assert (om.n, om.rank, om.cocircuits) == (3, 0, frozenset())
+    assert om.loops() == frozenset(range(3)) and om.coloops() == frozenset()
+    assert om.is_uniform() and not om._uniform_chirotope()
+    assert om.dual() == OrientedMatroid(Chirotope(3, 3, {(0, 1, 2): 1}))
 
 
 # -- reorientation -----------------------------------------------------------
@@ -351,12 +494,7 @@ def test_general_position():
         om.is_general_position(99)
 
 
-# -- chirotope fast paths against the cocircuit routes ----------------------
-
-def _stripped(om):
-    """A cocircuit-only copy, on which every query takes the cocircuit route."""
-    return OrientedMatroid(om.n, om.rank, om.cocircuits, labels=om.labels)
-
+# -- chirotope formulas against the cocircuit routes ------------------------
 
 @pytest.fixture(scope="module")
 def uniform_instances():
@@ -388,13 +526,12 @@ def test_chirotope_deletion_matches_cocircuit_minor(uniform_instances):
     for om in uniform_instances:
         n, r = om.n, om.rank
         deletions = [{e} for e in range(n)] + [{0, n - 1}, set(range(r - 1, n))]
-        oracle = _stripped(om)
         for d in deletions:
-            fast, slow = om.minor(delete=d), oracle.minor(delete=d)
-            # deleting below rank r leaves the chirotope route
-            assert (fast.chirotope is not None) == (n - len(d) >= r)
-            assert (fast.n, fast.rank, fast.labels) == (slow.n, slow.rank, slow.labels)
-            assert fast.cocircuits == slow.cocircuits
+            # deleting below rank r deletes coloops of what is left
+            fast = om.minor(delete=d)
+            assert fast.n == n - len(d)
+            assert fast.labels == tuple(str(e) for e in range(n) if e not in d)
+            assert (fast.rank, fast.cocircuits) == minor_cocircuits(om, delete=d)
 
 
 def test_chirotope_equality_matches_cocircuit_equality(uniform_instances):
@@ -403,18 +540,18 @@ def test_chirotope_equality_matches_cocircuit_equality(uniform_instances):
         chi = om.chirotope
         first = mutations(om)[0].basis
         others = [
-            OrientedMatroid._from_chirotope(chi),
-            OrientedMatroid._from_chirotope(chi.negate()),
+            OrientedMatroid(chi),
+            OrientedMatroid(chi.negate()),
             om.reorient(range(om.n)),  # negates every cocircuit: the same set
             om.reorient({0}),
-            OrientedMatroid._from_chirotope(chi.relabel([1, 0] + list(range(2, om.n)))),
-            OrientedMatroid._from_chirotope(chi.with_basis_flipped(first)),
+            OrientedMatroid(chi.relabel([1, 0] + list(range(2, om.n)))),
+            OrientedMatroid(chi.with_basis_flipped(first)),
         ]
         for other in others:
-            assert other._uniform_chirotope()
-            expected = _stripped(om) == _stripped(other)
+            expected = om.cocircuits == other.cocircuits
             assert (om == other) == expected
-            assert (om == _stripped(other)) == expected
+            if expected:
+                assert hash(om) == hash(other)
             outcomes.add(expected)
     assert outcomes == {True, False}
 
@@ -423,9 +560,8 @@ def test_general_position_shortcut_matches_cocircuit_scan(uniform_instances):
     # points 0, 1 and 2 are collinear: a chirotope that is not uniform
     collinear = om_from_points([[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 2, 3]])
     for om in uniform_instances + [collinear]:
-        oracle = _stripped(om)
         got = [om.is_general_position(e) for e in range(om.n)]
-        assert got == [oracle.is_general_position(e) for e in range(om.n)]
+        assert got == [in_general_position(om, e) for e in range(om.n)]
     assert not collinear.is_general_position(0)
 
 
@@ -436,39 +572,7 @@ def test_lex_pair_is_contravariant():
 
     om = w3()
     ext = lex_extend(om, LexExtensionSpec(((0, 1), (1, 1))))
-    partners = dict(ext.inseparable_partners(0))
-    assert partners.get(3) == "contravariant"
-
-
-def test_w3_partners_exhaustive():
-    # exhaustive scan: (0,1) always agree (via ++0), (0,2) always oppose
-    # (via +0-); the (0,-,-) cocircuits never co-support either pair
-    om = w3()
-    partners = dict(om.inseparable_partners(0))
-    assert partners == {1: "contravariant", 2: "covariant"}
-
-
-def test_generic_instance_has_no_partner():
-    rng = random.Random(9)
-    om = om_from_points(random_points(rng, 3, 6))
-    assert om.inseparable_partners(0) == []
-
-
-# -- U_{2,4} minors ----------------------------------------------------------
-
-def test_u24_minor():
-    assert cyclic_om(2, 4).exists_u24_minor()
-    assert not w3().exists_u24_minor()
-    om = cyclic_om(4, 8)
-    assert all(om.exists_u24_minor(through=e) for e in range(8))
-
-
-def test_only_inseparable_partners_implies_binary():
-    # parallel copies of a line: every partner inseparable, no U24 minor
-    om = om_from_points([[1, 0], [0, 1], [1, 1]])
-    for f in range(3):
-        if len(om.inseparable_partners(f)) == om.n - 1:
-            assert not om.exists_u24_minor()
+    assert pair_kind(ext, 0, 3) == "contravariant"
 
 
 def test_gf_not_empty_scan():
@@ -488,8 +592,7 @@ def test_gf_not_empty_scan():
 
 def test_chirotope_from_cocircuits_round_trip():
     om = cyclic_om(4, 7)
-    stripped = OrientedMatroid(om.n, om.rank, om.cocircuits)
-    chi = chirotope_from_cocircuits(stripped)
+    chi = chirotope_from_cocircuits(om.n, om.cocircuits)
     assert chi.to_string() in (
         om.chirotope.to_string(),
         om.chirotope.negate().to_string(),

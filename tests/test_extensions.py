@@ -2,11 +2,11 @@ import math
 import random
 
 import pytest
+from cocircuit_oracles import lex_localization, minor_cocircuits, special_position
 
 from omforge import core
 from omforge.classify import _verify_lex_witness, mutation_graph_bfs
 from omforge.core import (
-    OrientedMatroid,
     om_from_points,
     validate_chirotope,
     validate_cocircuit_axioms,
@@ -24,7 +24,6 @@ from omforge.extensions import (
     extend_by_localization,
     flip_lex_commute_check,
     lex_extend,
-    lex_localization,
     mandel_from_euclidean_mutant,
     orient_tope_positive,
     pair_kind,
@@ -81,14 +80,38 @@ def _sampled_specs(rng, om, count=3):
 
 
 def test_routes_agree():
-    # the chirotope route against the localization route, its oracle
+    # the chirotope route against the localization route, its oracle,
+    # whose cocircuit set gives back the same chirotope up to sign
     rng, oms = _extension_inputs(31)
     for om in oms:
         for spec in _sampled_specs(rng, om):
             ext = lex_extend(om, spec)
             oracle = extend_by_localization(om, lex_localization(om, spec))
-            assert ext.chirotope is not None and oracle.chirotope is None
             assert ext.cocircuits == oracle.cocircuits
+            assert ext == oracle
+
+
+def test_routes_agree_on_short_specs_and_special_position():
+    # shorter specs put the new element on a flat, and inputs with
+    # repeated, collinear and zero points are not uniform: the chirotope
+    # route still writes a valid chirotope, and agrees with the oracle
+    rng = random.Random(47)
+    oms = [om_from_points(random_points(rng, r, r + 3)) for r in (2, 3, 4)]
+    oms += [special_position(rng, r, n) for r, n in ((2, 6), (3, 7), (4, 8))]
+    shapes = set()
+    for om in oms:
+        for k in range(1, om.rank + 1):
+            elems = next(
+                e for e in iter(lambda: rng.sample(range(om.n), k), None)
+                if om.subset_rank(e) == k
+            )
+            spec = LexExtensionSpec(tuple((e, rng.choice((PLUS, MINUS))) for e in elems))
+            ext = lex_extend(om, spec)
+            oracle = extend_by_localization(om, lex_localization(om, spec))
+            assert validate_chirotope(ext.chirotope).ok
+            assert ext.cocircuits == oracle.cocircuits
+            shapes.add((om.is_uniform(), k == om.rank))
+    assert shapes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_lex_extend_chirotopes_are_valid():
@@ -180,9 +203,8 @@ def test_swap_isomorphism():
 
 
 def _swap_inputs():
-    """Seeded uniform realizable inputs of ranks 2-4, the first BFS
-    classes from non_euclidean_848, and copies of the first two without
-    their chirotopes."""
+    """Seeded uniform realizable inputs of ranks 2-4 and the first BFS
+    classes from non_euclidean_848."""
     rng = random.Random(41)
     oms = [
         om_from_points(random_points(rng, r, r + rng.randint(2, 4)))
@@ -190,7 +212,6 @@ def _swap_inputs():
     ]
     graph = mutation_graph_bfs(non_euclidean_848(), max_nodes=8)
     oms.extend(node.om for node in graph.nodes.values())
-    oms.extend(OrientedMatroid(om.n, om.rank, om.cocircuits) for om in oms[:2])
     return rng, oms
 
 
@@ -226,7 +247,7 @@ def test_swap_comparison_matches_cocircuits():
 def test_swap_isomorphism_both_head_signs():
     # om[f^a1, e2^-a2, ...] with f and the new element exchanged, and
     # both reoriented when a1 = -, is om[f^a1, e2^a2, ...]: full and
-    # partial specs, with and without a chirotope, and on cyclic_om(4,8)
+    # partial specs, and on cyclic_om(4,8)
     rng, oms = _swap_inputs()
     oms.append(cyclic_om(4, 8))
     plain = set()
@@ -252,8 +273,6 @@ def test_commute_check_matches_cocircuits():
     rng, oms = _swap_inputs()
     checked = 0
     for om in oms:
-        if om.chirotope is None:
-            continue
         for cert in mutations(om)[:3]:
             g = rng.choice([e for e in range(om.n) if e not in cert.basis])
             report = flip_lex_commute_check(om, cert.basis, g)
@@ -422,7 +441,6 @@ def test_mandel_pipeline_verdicts_match_is_euclidean(non_euclidean_om):
     # of the programs (e, f') and the deletion check by chirotopes,
     # against their cocircuit oracles
     om = non_euclidean_om
-    stripped = OrientedMatroid(om.n, om.rank, om.cocircuits)
     results = [
         result
         for cert in mutations(om)
@@ -436,8 +454,8 @@ def test_mandel_pipeline_verdicts_match_is_euclidean(non_euclidean_om):
         assert result.program_verdicts == {
             e: is_euclidean(Program(ext, e, fp)).euclidean for e in range(om.n)
         }
-        ext_stripped = OrientedMatroid(ext.n, ext.rank, ext.cocircuits)
-        assert result.deletion_ok == (ext_stripped.minor(delete={fp}) == stripped)
+        deleted = minor_cocircuits(ext, delete={fp})
+        assert result.deletion_ok == (deleted == (om.rank, om.cocircuits))
         seen.update(result.program_verdicts.values())
     assert seen == {True, False}
 

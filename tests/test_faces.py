@@ -10,6 +10,7 @@ from omforge.classify import mutation_graph_bfs
 from omforge.core import (
     OrientedMatroid,
     cocircuits_from_chirotope,
+    om_from_cocircuits,
     om_from_points,
     validate_chirotope,
 )
@@ -298,7 +299,7 @@ def test_mutation_bases_match_cocircuit_route_realizable():
 
 def full_sign_test_bases(om):
     """Slow reference: the sign test on every basis of a fresh copy."""
-    return mutation_bases(OrientedMatroid._from_chirotope(om.chirotope))
+    return mutation_bases(OrientedMatroid(om.chirotope))
 
 
 @BFS_CLASSES
@@ -439,7 +440,7 @@ def test_tope_walk_matches_closure_realizable():
 
 
 def test_rank0_has_the_zero_tope():
-    om = OrientedMatroid(3, 0, ())
+    om = om_from_cocircuits(3, 0, ())
     assert topes(om) == {sv("000")}
     assert is_tope(om, sv("000"))
     assert is_simplicial_tope(om, sv("000"))

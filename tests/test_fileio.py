@@ -3,6 +3,7 @@ import json
 import pytest
 
 from omforge.canonical import canonical_form
+from omforge.core import om_from_points
 from omforge.corpus import cyclic_om, cyclic_points, w3
 from omforge.fileio import (
     load_om,
@@ -65,22 +66,23 @@ def test_ccj_round_trip_canonical_equality(tmp_path):
 
 
 def test_uniform_ccj_loads_without_the_axiom_check(tmp_path, count_calls):
-    # a uniform set is checked through its recovered chirotope; the
-    # cubic axiom check runs only on the sets that check rejects
-    from omforge import fileio
+    # a set is checked through its recovered chirotope, uniform or not;
+    # the cubic axiom check runs only on the sets that check rejects
+    from omforge import core
     from omforge.core import InvalidCocircuits
 
-    axioms = count_calls(fileio, "validate_cocircuit_axioms")
+    axioms = count_calls(core, "validate_cocircuit_axioms")
     for r, n in ((3, 6), (4, 8), (5, 10)):
         om = cyclic_om(r, n)
         path = tmp_path / f"c{r}{n}.ccj"
         write_ccj(path, om)
         assert read_ccj(path) == om
+    # not uniform: two rank-2 lines, and a repeated point
+    repeated = om_from_points([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 1, 1]])
+    for name, om in (("sum", w3().direct_sum(w3())), ("repeated", repeated)):
+        write_ccj(tmp_path / f"{name}.ccj", om)
+        assert read_ccj(tmp_path / f"{name}.ccj") == om
     assert axioms == []
-    # not uniform: the axiom check accepts it
-    write_ccj(tmp_path / "sum.ccj", w3().direct_sum(w3()))
-    read_ccj(tmp_path / "sum.ccj")
-    assert len(axioms) == 1
     # uniform, but one sign of one cocircuit pair changed: the axiom
     # check names the violation
     coc = sorted(x.to_string() for x in cyclic_om(3, 6).cocircuits)
@@ -94,7 +96,7 @@ def test_uniform_ccj_loads_without_the_axiom_check(tmp_path, count_calls):
     path.write_text(json.dumps({"n": 6, "rank": 3, "cocircuits": coc}))
     with pytest.raises(InvalidCocircuits, match="axiom"):
         read_ccj(path)
-    assert len(axioms) == 2
+    assert len(axioms) == 1
 
 
 def test_unknown_extension(tmp_path):

@@ -2,10 +2,11 @@ import itertools
 import random
 
 import pytest
+from cocircuit_oracles import coloops_of, loops_of
 
 import omforge.programs as programs_module
 from omforge.classify import _verify_lex_witness, mutation_graph_bfs
-from omforge.core import OrientedMatroid, om_from_points
+from omforge.core import OrientedMatroid, om_from_cocircuits, om_from_points
 from omforge.corpus import cyclic_om, non_euclidean_848, random_points, w3
 from omforge.extensions import (
     LexExtensionSpec,
@@ -256,14 +257,22 @@ def test_euclidean_verdicts_empty_report():
 # -- sign-route verdicts vs the cocircuit graph ----------------------------------
 
 def assert_verdicts_match_cocircuit_graph(om):
-    """The public verdict functions agree with the same functions on a
-    cocircuit-only copy, which has no chirotope and takes the graph route."""
-    copy = OrientedMatroid(om.n, om.rank, om.cocircuits)
+    """The public verdict functions agree with `is_euclidean` on every
+    program, which builds the cocircuit graph, and the programs are the
+    pairs (g, f) of a non-loop g and a non-coloop f by the cocircuit
+    route."""
+    loops, coloops = loops_of(om), coloops_of(om)
+    programs = [
+        (g, f) for g in range(om.n) for f in range(om.n)
+        if g != f and g not in loops and f not in coloops
+    ]
     verdicts = program_verdicts(om)
-    assert verdicts == program_verdicts(copy)
-    assert list(verdicts) == valid_programs(copy)
-    assert all_programs_euclidean(om) == all_programs_euclidean(copy)
-    assert has_euclidean_program(om) == has_euclidean_program(copy)
+    assert list(verdicts) == programs
+    assert verdicts == {
+        (g, f): is_euclidean(Program(om, g, f)).euclidean for g, f in programs
+    }
+    assert all_programs_euclidean(om) == all(verdicts.values())
+    assert has_euclidean_program(om) == any(verdicts.values())
     return verdicts
 
 
@@ -449,7 +458,7 @@ def assert_flip_children_inherit(om, count_calls):
         got = programs_module._non_euclidean_programs(child)
         assert len(sorts) == (r * (r - 1) + (n - r) * (n - r - 1)) // 2
         assert child._flipped_from is None  # the parent is let go
-        scratch = OrientedMatroid._from_chirotope(child.chirotope)
+        scratch = OrientedMatroid(child.chirotope)
         assert scratch._flipped_from is None
         assert got == programs_module._non_euclidean_programs(scratch)
         m = mask_of(basis)
@@ -522,7 +531,7 @@ CACHED_CALLS = (program_verdicts, all_programs_euclidean, has_euclidean_program)
     [
         lambda: cyclic_om(4, 8),
         non_euclidean_848,
-        lambda: OrientedMatroid(8, 4, non_euclidean_848().cocircuits),
+        lambda: om_from_cocircuits(8, 4, non_euclidean_848().cocircuits),
         lambda: w3().direct_sum(w3()),
         lambda: cyclic_om(1, 3),
         lambda: cyclic_om(3, 3),
